@@ -80,14 +80,14 @@ def _write_gnuplot(path: str, title: str, plot_line: str) -> None:
     print(f"wrote gnuplot script: {path}", file=sys.stderr)
 
 
-def _require_cost(args) -> str:
+def _require_cost(args) -> None:
     if args.kind == "optimal" and args.cost is None:
         raise UsageError("--cost is required when --kind is 'optimal'")
-    return args.cost or "sin2"
 
 
 def cmd_state(args) -> int:
-    cost_label = _require_cost(args)
+    _require_cost(args)
+    cost_label = args.cost or "sin2"
     state = state_for(args.kind, args.n, cost_label)
     stats = energy_stats(state)
     cost_fn = canonical_cost(cost_label, max(1, args.n))
@@ -122,15 +122,13 @@ def cmd_state(args) -> int:
 
 
 def cmd_posterior(args) -> int:
-    cost_label = args.cost
-    if args.kind == "optimal" and cost_label is None:
-        raise UsageError("--cost is required when --kind is 'optimal'")
+    _require_cost(args)
     grid_size = args.grid if args.grid is not None else 16 * (args.n + 1)
     if grid_size < 4 * (args.n + 1):
         raise UsageError(f"--grid must be at least {4 * (args.n + 1)} for n={args.n}")
     if not 0 <= args.outcome <= args.n:
         raise UsageError(f"--outcome must be in 0..{args.n}")
-    state = state_for(args.kind, args.n, cost_label)
+    state = state_for(args.kind, args.n, args.cost)
     post = posterior(state, args.outcome, grid_size)
     t_r = measurement_times(args.n)[args.outcome]
     offsets = wrap_angle(post.grid - t_r)
@@ -139,7 +137,7 @@ def cmd_posterior(args) -> int:
         "n": args.n,
         "outcome": args.outcome,
         "grid": grid_size,
-        "cost": cost_label,
+        "cost": args.cost,
     }
     if args.gnuplot:
         _write_gnuplot(
@@ -289,8 +287,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_mutinfo(args) -> int:
-    if args.kind == "optimal" and args.cost is None:
-        raise UsageError("--cost is required when --kind is 'optimal'")
+    _require_cost(args)
     state = state_for(args.kind, args.n, args.cost)
     bits = mutual_information_bits(state)
     payload = {

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .states import ClockState, _check_n_ions
+from .states import ClockState, _check_n_ions, _log_factorials
 
 CANONICAL_LABELS = ("sin2", "abs", "abs_sin_half", "neg_delta")
 
@@ -181,8 +180,9 @@ def product_cost_closed_form(n_ions: int) -> float:
     log-domain binomials; decays like 1/N for large N.
     """
     _check_n_ions(n_ions)
-    i = np.arange(n_ions)
-    log_binom_i = gammaln(n_ions + 1) - gammaln(i + 1) - gammaln(n_ions - i + 1)
-    log_binom_i1 = gammaln(n_ions + 1) - gammaln(i + 2) - gammaln(n_ions - i)
+    log_fact = _log_factorials(n_ions)
+    # C(N, i) and C(N, i+1) for i = 0..N-1
+    log_binom_i = log_fact[-1] - log_fact[:-1] - log_fact[:0:-1]
+    log_binom_i1 = log_fact[-1] - log_fact[1:] - log_fact[-2::-1]
     terms = np.exp(0.5 * (log_binom_i + log_binom_i1) - n_ions * np.log(2.0))
     return float(2.0 * (1.0 - terms.sum()))

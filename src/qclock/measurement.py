@@ -4,16 +4,16 @@ The measurement projects onto the N+1 orthonormal time translates of the
 uniform superposition, with outcome j attached to the estimate
 t_j = 2*pi*j/(N+1). Outcome probabilities are
 
-    P(t_j | t) = |sum_m a_m exp(-i m (t - t_j))|^2 / (N + 1),
+    P(t_j | t) = K(t - t_j),    K(T) = |sum_m a_m exp(-i m T)|^2 / (N + 1),
 
-a function of t - t_j only (covariance). This module computes outcome
-distributions, Bayesian posteriors on the uniform prior, mean costs by
-quadrature, the wrapped RMS time error, and the mutual information
-between true time and outcome.
+so every statistic is an integral of the one kernel K (covariance). This
+module computes outcome distributions, Bayesian posteriors on the uniform
+prior, mean costs, the wrapped RMS time error, and the mutual information.
 
-All integrals use the periodic trapezoid rule on uniform grids over
-[0, 2*pi), which is exact for trigonometric polynomials of degree below
-the node count.
+The RMS error is an exact terminating series. The posterior, the mutual
+information and the direct mean cost sample K on a uniform grid over
+[0, 2*pi) by one zero-padded FFT and use the periodic trapezoid rule,
+exact for trigonometric polynomials of degree below the node count.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostFunction, evaluate_cost
+from .cost import CostFunction, evaluate_cost, mean_cost_bound
 from .states import ClockState, _check_n_ions
 
 TWO_PI = 2.0 * np.pi
@@ -60,8 +60,8 @@ class OutcomeDistribution:
         probs = np.array(self.probabilities, dtype=float)
         if probs.shape != (self.n_ions + 1,):
             raise ValueError(f"expected {self.n_ions + 1} probabilities")
-        if np.any(probs < 0.0):
-            raise ValueError("outcome probabilities must be nonnegative")
+        if not (np.isfinite(probs).all() and (probs >= 0.0).all()):
+            raise ValueError("outcome probabilities must be finite and nonnegative")
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"outcome probabilities sum to {total}, not 1")
@@ -82,8 +82,9 @@ class PosteriorGrid:
         density = np.array(self.density, dtype=float)
         if grid.shape != density.shape or grid.ndim != 1:
             raise ValueError("grid and density must be 1-d arrays of equal length")
-        if np.any(density < 0.0):
-            raise ValueError("posterior density must be nonnegative")
+        finite = np.isfinite(grid).all() and np.isfinite(density).all()
+        if not (finite and (density >= 0.0).all()):
+            raise ValueError("posterior grid and density must be finite, density nonnegative")
         integral = float(density.sum() * (TWO_PI / density.size))
         if abs(integral - 1.0) > 1e-8:
             raise ValueError(f"posterior integrates to {integral}, not 1")
@@ -151,6 +152,8 @@ def outcome_distribution(state: ClockState, t: float) -> OutcomeDistribution:
     Any finite t is reduced modulo 2*pi. Shifting t by 2*pi/(N+1) cyclically
     shifts the probabilities by one outcome.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"true time must be finite, got {t}")
     reduced = float(np.mod(t, TWO_PI))
     probs = _outcome_prob_matrix(state.amplitudes, np.array([reduced]))[0]
     return OutcomeDistribution(state.n_ions, reduced, probs)
@@ -158,6 +161,13 @@ def outcome_distribution(state: ClockState, t: float) -> OutcomeDistribution:
 
 def _uniform_grid(grid_size: int) -> np.ndarray:
     return np.linspace(0.0, TWO_PI, grid_size, endpoint=False)
+
+
+def _kernel_on_grid(amplitudes: np.ndarray, grid_size: int, shift: float = 0.0) -> np.ndarray:
+    """K(2*pi*g/G - shift), g = 0..G-1; needs G >= N+1 (no FFT truncation)."""
+    dim = amplitudes.size
+    amp = np.fft.fft(amplitudes * np.exp(1j * shift * np.arange(dim)), grid_size)
+    return (amp.real**2 + amp.imag**2) / dim
 
 
 def _check_grid(grid_size: int, minimum: int) -> None:
@@ -181,12 +191,10 @@ def posterior(state: ClockState, outcome_index: int, grid_size: int) -> Posterio
     dim = state.dim
     _check_outcome(outcome_index, dim)
     _check_grid(grid_size, 4 * dim)
-    grid = _uniform_grid(grid_size)
-    offsets = grid - measurement_times(state.n_ions)[outcome_index]
-    amp = np.exp(-1j * np.outer(offsets, np.arange(dim))) @ state.amplitudes
-    weight = (amp.real**2 + amp.imag**2) / dim
+    t_j = measurement_times(state.n_ions)[outcome_index]
+    weight = _kernel_on_grid(state.amplitudes, grid_size, t_j)
     density = weight / (weight.sum() * (TWO_PI / grid_size))
-    return PosteriorGrid(outcome_index, grid, density)
+    return PosteriorGrid(outcome_index, _uniform_grid(grid_size), density)
 
 
 def phase_state_posterior_closed_form(
@@ -257,44 +265,36 @@ def optimal_state_posterior_closed_form(
 def mean_cost_direct(state: ClockState, f: CostFunction, grid_size: int | None = None) -> float:
     """Mean cost of the covariant measurement computed from its statistics.
 
-    Evaluates sum_j integral P(t_j | t) f(t_j - t) dt / (2 pi) by the
-    periodic trapezoid rule. The integrand is a trigonometric polynomial
-    of degree N + K, so the default grid of 8 (N + K) nodes makes the
-    quadrature exact up to roundoff; the value then matches
-    ``mean_cost_bound`` because the measurement attains it.
+    Evaluates sum_j integral P(t_j | t) f(t_j - t) dt / (2 pi), equal to
+    (N+1)/(2 pi) integral K(T) f(T) dT, by the periodic trapezoid rule.
+    K f is a trigonometric polynomial of degree N + K, so the default grid
+    of 8 (N + K) nodes makes the quadrature exact up to roundoff; the value
+    then matches ``mean_cost_bound`` because the measurement attains it.
     """
     minimum = 8 * (state.n_ions + max(f.order, 1))
     if grid_size is None:
         grid_size = minimum
     _check_grid(grid_size, minimum)
-    grid = _uniform_grid(grid_size)
-    probs = _outcome_prob_matrix(state.amplitudes, grid)
-    deviations = measurement_times(state.n_ions)[None, :] - grid[:, None]
-    costs = evaluate_cost(f, deviations)
-    return float(np.sum(probs * costs) / grid_size)
+    kernel = _kernel_on_grid(state.amplitudes, grid_size)
+    costs = evaluate_cost(f, _uniform_grid(grid_size))
+    return float(state.dim * (kernel @ costs) / grid_size)
 
 
-def circular_rms_error(state: ClockState, grid_size: int | None = None) -> float:
+def circular_rms_error(state: ClockState) -> float:
     """Wrapped RMS deviation of the estimate from the true time.
 
     Delta_t = sqrt( sum_j integral P(t_j | t) wrap(t_j - t)^2 dt / (2 pi) ),
-    with wrap mapping to (-pi, pi]. The squared wrap is not a finite
-    trigonometric polynomial, so the quadrature is not exact; the default
-    grid keeps the aliasing error below ~1e-5 even at N = 512.
+    with wrap mapping to (-pi, pi]. wrap(T)^2 has cosine coefficients
+    4 (-1)^k / k^2 and K stops at frequency N, so Delta_t^2 is exactly
+    pi^2/3 + 4 sum_{k=1}^{N} (-1)^k r_k / k^2, r_k = sum_m a_m a_{m+k}.
+    The r_k are direct sums; an FFT autocorrelation drifts ~1e-10 at N ~ 10^3.
     """
-    dim = state.dim
-    if grid_size is None:
-        grid_size = max(16384, 64 * dim)
-    _check_grid(grid_size, 4 * dim)
-    grid = _uniform_grid(grid_size)
-    times = measurement_times(state.n_ions)
-    total = 0.0
-    for lo in range(0, grid_size, _CHUNK_ROWS):
-        block = grid[lo : lo + _CHUNK_ROWS]
-        probs = _outcome_prob_matrix(state.amplitudes, block)
-        squared = wrap_angle(times[None, :] - block[:, None]) ** 2
-        total += float(np.sum(probs * squared))
-    return float(np.sqrt(total / grid_size))
+    a = state.amplitudes
+    lags = np.arange(1, state.dim)
+    autocorr = np.correlate(a, a, "full")[state.dim :]
+    signs = np.where(lags % 2 == 1, -4.0, 4.0)
+    total = np.pi**2 / 3.0 + float(np.sum(signs * autocorr / lags**2))
+    return float(np.sqrt(total))
 
 
 def mutual_information_bits(state: ClockState, grid_size: int | None = None) -> float:
@@ -302,7 +302,7 @@ def mutual_information_bits(state: ClockState, grid_size: int | None = None) -> 
 
     Covariance makes the marginal outcome distribution uniform, so
 
-        I = log2(N+1) + (1/2 pi) integral sum_j P(t_j | t) log2 P(t_j | t) dt,
+        I = log2(N+1) + ((N+1)/2 pi) integral K(T) log2 K(T) dT,
 
     with zero-probability terms contributing zero. Bounded above by
     log2(N+1), the information capacity of the N+1 outcomes.
@@ -312,15 +312,9 @@ def mutual_information_bits(state: ClockState, grid_size: int | None = None) -> 
     if grid_size is None:
         grid_size = minimum
     _check_grid(grid_size, minimum)
-    grid = _uniform_grid(grid_size)
-    total = 0.0
-    for lo in range(0, grid_size, _CHUNK_ROWS):
-        probs = _outcome_prob_matrix(state.amplitudes, grid[lo : lo + _CHUNK_ROWS])
-        positive = probs > 0.0
-        plogp = np.zeros_like(probs)
-        plogp[positive] = probs[positive] * np.log2(probs[positive])
-        total += float(plogp.sum())
-    return float(np.log2(dim) + total / grid_size)
+    kernel = _kernel_on_grid(state.amplitudes, grid_size)
+    positive = kernel[kernel > 0.0]
+    return float(np.log2(dim) + dim * np.sum(positive * np.log2(positive)) / grid_size)
 
 
 def mutual_information_nats(state: ClockState, grid_size: int | None = None) -> float:
@@ -330,8 +324,6 @@ def mutual_information_nats(state: ClockState, grid_size: int | None = None) -> 
 
 def estimation_report(state: ClockState, f: CostFunction) -> EstimationReport:
     """Analytic summary of a state: minimal mean cost, RMS error, information."""
-    from .cost import mean_cost_bound
-
     info = mutual_information_bits(state)
     if info > np.log2(state.dim) + 1e-9:
         raise ValueError("mutual information exceeds the log2(N+1) capacity bound")

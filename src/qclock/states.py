@@ -7,10 +7,10 @@ objects: real nonnegative amplitude vectors of unit Euclidean norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 NORM_TOL = 1e-12
 
@@ -78,6 +78,11 @@ def _check_n_ions(n_ions: int) -> None:
         raise ValueError(f"n_ions must be a positive integer, got {n_ions!r}")
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """ln(k!) for k = 0..n."""
+    return np.array([math.lgamma(k + 1) for k in range(n + 1)])
+
+
 def product_state(n_ions: int) -> ClockState:
     """State obtained by preparing every ion in (|0> + |1>)/sqrt(2).
 
@@ -96,9 +101,9 @@ def product_state(n_ions: int) -> ClockState:
     ClockState
     """
     _check_n_ions(n_ions)
-    m = np.arange(n_ions + 1)
+    log_fact = _log_factorials(n_ions)
     # group the two factorial terms first so a_m = a_{N-m} holds exactly
-    log_binom = gammaln(n_ions + 1) - (gammaln(m + 1) + gammaln(n_ions - m + 1))
+    log_binom = log_fact[-1] - (log_fact + log_fact[::-1])
     amps = np.exp(0.5 * log_binom - 0.5 * n_ions * np.log(2.0))
     amps /= np.linalg.norm(amps)
     return ClockState(n_ions, amps)

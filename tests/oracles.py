@@ -9,6 +9,7 @@ bisection instead of an eigensolver.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -32,6 +33,21 @@ def wrapped_rms_series(amplitudes) -> float:
     for k in range(1, a.size):
         total += (2.0 * (-1.0) ** k / k**2) * 2.0 * float(a[:-k] @ a[k:])
     return math.sqrt(total)
+
+
+def wrapped_rms_series_mp(amplitudes, dps: int = 50) -> float:
+    """``wrapped_rms_series`` in mpmath arithmetic at ``dps`` decimal digits.
+
+    The float amplitudes convert exactly, so the only error left is the
+    rounding of the final value; the float series loses digits to the
+    cancellation between pi^2/3 and the sum at large N.
+    """
+    with mpmath.workdps(dps):
+        a = [mpmath.mpf(float(x)) for x in amplitudes]
+        total = mpmath.pi**2 / 3
+        for k in range(1, len(a)):
+            total += 4 * (-1) ** k * mpmath.fdot(a[:-k], a[k:]) / k**2
+        return float(mpmath.sqrt(total))
 
 
 def outcome_probs_direct(amplitudes, t: float) -> np.ndarray:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +56,24 @@ def test_state_optimal_requires_cost(capsys):
     assert code == 2
     assert out == ""
     assert "--cost" in err
+
+
+@pytest.mark.parametrize("command", ["posterior", "mutinfo"])
+def test_optimal_requires_cost_everywhere(capsys, command):
+    code, out, err = run_cli(capsys, [command, "--kind", "optimal", "--n", "4"])
+    assert code == 2
+    assert out == ""
+    assert "--cost" in err
+
+
+def test_omitted_cost_is_not_echoed(capsys):
+    code, out, _ = run_cli(capsys, ["posterior", "--kind", "phase", "--n", "4"])
+    assert code == 0
+    meta, _, _ = parse_csv(out)
+    assert meta["command"] == "posterior kind=phase n=4 outcome=0 grid=80"
+    code, out, _ = run_cli(capsys, ["mutinfo", "--kind", "phase", "--n", "4"])
+    assert code == 0
+    assert json.loads(out)["args"] == {"kind": "phase", "n": 4}
 
 
 def test_state_json_format(capsys):
@@ -257,6 +279,17 @@ def test_gnuplot_companion_script(capsys, tmp_path):
     assert "fig.csv" in content and "plot" in content
     assert str(script) in err  # logged on stderr, not stdout
     assert "gnuplot" not in out
+
+
+def test_import_does_not_load_scipy_special():
+    # scipy.special costs ~0.1 s of start-up in every CLI process
+    code = "import sys, qclock.cli; print('scipy.special' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -3,6 +3,8 @@ import pytest
 
 from qclock import (
     ClockState,
+    OutcomeDistribution,
+    PosteriorGrid,
     canonical_cost,
     circular_rms_error,
     energy_stats,
@@ -24,7 +26,12 @@ from qclock import (
     wrap_angle,
 )
 
-from oracles import outcome_probs_direct, random_clock_amplitudes, wrapped_rms_series
+from oracles import (
+    outcome_probs_direct,
+    random_clock_amplitudes,
+    wrapped_rms_series,
+    wrapped_rms_series_mp,
+)
 
 TWO_PI = 2.0 * np.pi
 SIN2 = canonical_cost("sin2", 1)
@@ -105,6 +112,39 @@ def test_completeness_over_random_times():
     for t in rng.uniform(-10.0, 10.0, size=100):
         dist = outcome_distribution(state, float(t))
         assert abs(dist.probabilities.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
+def test_outcome_distribution_rejects_non_finite_time(t):
+    with pytest.raises(ValueError):
+        outcome_distribution(phase_state(4), t)
+
+
+def test_validators_reject_non_finite_arrays():
+    with pytest.raises(ValueError):
+        OutcomeDistribution(4, 0.0, np.full(5, np.nan))
+    grid = np.linspace(0.0, TWO_PI, 8, endpoint=False)
+    density = np.full(8, 1.0 / TWO_PI)
+    density[3] = np.nan
+    with pytest.raises(ValueError):
+        PosteriorGrid(0, grid, density)
+    grid[2] = np.inf
+    with pytest.raises(ValueError):
+        PosteriorGrid(0, grid, np.full(8, 1.0 / TWO_PI))
+
+
+def test_posterior_matches_direct_sum_off_lattice_grid():
+    # 45 nodes is not a multiple of N+1 = 7, so no t_j lies on the grid
+    rng = np.random.default_rng(31)
+    n, grid_size = 6, 45
+    grid = TWO_PI * np.arange(grid_size) / grid_size
+    for state in (product_state(n), ClockState(n, random_clock_amplitudes(rng, n + 1))):
+        probs = np.array([outcome_probs_direct(state.amplitudes, t) for t in grid])
+        for j in range(n + 1):
+            expected = probs[:, j] / (probs[:, j].sum() * TWO_PI / grid_size)
+            post = posterior(state, j, grid_size)
+            np.testing.assert_allclose(post.grid, grid, rtol=0, atol=1e-15)
+            assert np.max(np.abs(post.density - expected)) <= 1e-12 * expected.max()
 
 
 def test_posterior_rejects_coarse_grid_and_bad_outcome():
@@ -258,9 +298,14 @@ def test_circular_rms_error_matches_series_oracle():
             ClockState(n, random_clock_amplitudes(rng, n + 1)),
         ]
         for state in states:
-            quadrature = circular_rms_error(state)
+            value = circular_rms_error(state)
             oracle = wrapped_rms_series(state.amplitudes)
-            assert abs(quadrature - oracle) <= 1e-8
+            assert abs(value - oracle) <= 1e-8
+    for n in (256, 512):
+        for kind in ("phase", "product", "optimal"):
+            state = state_for(kind, n, "sin2")
+            exact = wrapped_rms_series_mp(state.amplitudes)
+            assert abs(circular_rms_error(state) - exact) <= 1e-10 * exact
 
 
 def test_phase_state_error_scales_as_inverse_sqrt_n():
@@ -327,6 +372,25 @@ def test_product_state_information_gains_one_bit_per_quadrupling():
     info = {n: mutual_information_bits(product_state(n)) for n in (16, 32, 64, 128)}
     for n in (16, 32):
         assert abs(info[4 * n] - info[n] - 1.0) <= 0.35
+
+
+def test_mutual_information_matches_direct_double_sum():
+    rng = np.random.default_rng(37)
+    for n in range(1, 9):
+        grid_size = 16 * (n + 1)
+        for amplitudes in (
+            phase_state(n).amplitudes,
+            product_state(n).amplitudes,
+            random_clock_amplitudes(rng, n + 1),
+        ):
+            total = 0.0
+            for g in range(grid_size):
+                probs = outcome_probs_direct(amplitudes, TWO_PI * g / grid_size)
+                probs = probs[probs > 0.0]
+                total += float(np.sum(probs * np.log2(probs)))
+            expected = np.log2(n + 1) + total / grid_size
+            info = mutual_information_bits(ClockState(n, amplitudes))
+            assert abs(info - expected) <= 1e-12
 
 
 def test_mutual_information_nats_conversion():
