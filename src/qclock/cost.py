@@ -4,12 +4,15 @@ A cost f(t) = w0 - sum_{k>=1} w_k cos(k t) with w_k >= 0 penalizes the
 wrapped deviation of a time estimate from the truth. For this class the
 covariant phase-state measurement is optimal and the minimal achievable
 mean cost is the quadratic form a^T F a of the amplitude vector with the
-symmetric banded matrix F built here.
+symmetric Toeplitz matrix F built here. F is held as its first column,
+never as a dense (N+1) x (N+1) array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,28 +60,65 @@ class CostFunction:
 
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """Symmetric (N+1) x (N+1) matrix F_{mm'} = w0 d_{mm'} - w_{|m-m'|}/2."""
+    """Symmetric Toeplitz matrix F_{mm'} = w0 d_{mm'} - w_{|m-m'|}/2.
 
-    dim: int
-    entries: np.ndarray
-    bandwidth: int
+    Only the first column (w0, -w_1/2, ..., -w_N/2), the symbol of F, is
+    stored; ``dim`` and ``bandwidth`` follow from it, and ``matvec``
+    applies F in O(N log N) time and O(N) memory without forming it.
+    """
+
+    column: np.ndarray
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
-        if entries.shape != (self.dim, self.dim):
-            raise ValueError(f"entries must be {self.dim} x {self.dim}")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
+        column = np.array(self.column, dtype=float)
+        if column.ndim != 1 or column.size == 0:
+            raise ValueError(f"column must be a nonempty vector, got shape {column.shape}")
+        column.flags.writeable = False
+        object.__setattr__(self, "column", column)
+
+    @property
+    def dim(self) -> int:
+        """Dimension N + 1."""
+        return int(self.column.size)
+
+    @property
+    def bandwidth(self) -> int:
+        """Largest k with F_{m, m+k} != 0 (0 for a diagonal matrix)."""
+        nonzero = np.flatnonzero(self.column[1:])
+        return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense (N+1) x (N+1) matrix, built on every access; for checks only."""
+        idx = np.arange(self.dim)
+        return self.column[np.abs(idx[:, None] - idx)]
+
+    @cached_property
+    def _circulant_spectrum(self) -> np.ndarray:
+        # F is the leading block of a symmetric circulant of power-of-two
+        # size >= 2 dim - 1, whose eigenvalues are the (real) DFT of its column.
+        size = 1 << max(2 * self.dim - 2, 1).bit_length()
+        embedded = np.zeros(size)
+        embedded[: self.dim] = self.column
+        embedded[size - self.dim + 1 :] = self.column[:0:-1]
+        return np.fft.rfft(embedded).real
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """F x for a vector of matching dimension, by circulant embedding."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(
+                f"dimension mismatch: matrix is {self.dim}-dimensional, "
+                f"vector has shape {x.shape}"
+            )
+        spectrum = self._circulant_spectrum
+        size = 2 * (spectrum.size - 1)
+        return np.fft.irfft(spectrum * np.fft.rfft(x, size), size)[: self.dim]
 
     def quadratic_form(self, amplitudes: np.ndarray) -> float:
         """a^T F a for an amplitude vector of matching dimension."""
         a = np.asarray(amplitudes, dtype=float)
-        if a.shape != (self.dim,):
-            raise ValueError(
-                f"dimension mismatch: matrix is {self.dim}-dimensional, "
-                f"vector has shape {a.shape}"
-            )
-        return float(a @ self.entries @ a)
+        return float(a @ self.matvec(a))
 
 
 def canonical_cost(label: str, order: int) -> CostFunction:
@@ -136,53 +176,60 @@ def evaluate_cost(f: CostFunction, t):
 def cost_matrix(f: CostFunction, n_ions: int) -> CostMatrix:
     """Cost matrix on the (N+1)-dimensional symmetric subspace.
 
-    Coefficients beyond k = N cannot couple basis states and are dropped;
-    the recorded bandwidth is the largest k <= N with w_k != 0.
+    Coefficients beyond k = N cannot couple basis states and are dropped,
+    so the bandwidth is the largest k <= N with w_k != 0.
     """
     _check_n_ions(n_ions)
-    dim = n_ions + 1
-    coeffs = f.coefficients[: min(f.order, n_ions)]
-    entries = np.zeros((dim, dim))
-    np.fill_diagonal(entries, f.w0)
-    bandwidth = 0
-    for k, wk in enumerate(coeffs, start=1):
-        if wk != 0.0:
-            idx = np.arange(dim - k)
-            entries[idx, idx + k] = -0.5 * wk
-            entries[idx + k, idx] = -0.5 * wk
-            bandwidth = k
-    return CostMatrix(dim, entries, bandwidth)
+    column = np.zeros(n_ions + 1)
+    column[0] = f.w0
+    order = min(f.order, n_ions)
+    column[1 : order + 1] = -0.5 * f.coefficients[:order]
+    return CostMatrix(column)
 
 
 def mean_cost_bound(state: ClockState, f: CostFunction) -> float:
     """Minimal mean cost achievable by any measurement on this state.
 
-    Computed as the direct banded sum
-    w0 - (1/2) sum_k w_k sum_{|m-m'|=k} a_m a_{m'},
-    which coincides with the quadratic form of ``cost_matrix`` and is
-    attained by the covariant phase-state measurement.
+    Equals the quadratic form a^T F a of ``cost_matrix`` and is attained by
+    the covariant phase-state measurement. With the autocorrelations
+    r_k = sum_m a_m a_{m+k} it is w0 - sum_k w_k r_k, evaluated here as
+
+        (w0 - sum_k w_k) + sum_k w_k (1 - r_k),
+        1 - r_k = (1/2) [sum_m (a_m - a_{m+k})^2 + sum_{m<k} a_m^2
+                         + sum_{m>N-k} a_m^2],
+
+    where every 1 - r_k is a sum of nonnegative terms. For costs with
+    f(0) = 0 the constant w0 - sum_k w_k is zero or a small truncation
+    tail, whereas w0 - sum_k w_k r_k cancels to a relative error growing
+    like N^2 for smooth states.
     """
     a = state.amplitudes
-    total = f.w0
-    k_max = min(f.order, state.n_ions)
-    for k in range(1, k_max + 1):
-        wk = f.coefficients[k - 1]
-        if wk != 0.0:
-            # (1/2) * w_k * (2 sum_m a_m a_{m+k})
-            total -= wk * float(a[: -k] @ a[k:])
+    order = min(f.order, state.n_ions)
+    weights = f.coefficients[:order]
+    squares = a * a
+    head = np.cumsum(squares)  # head[k-1] = sum_{m<k} a_m^2
+    tail = np.cumsum(squares[::-1])  # tail[k-1] = sum_{m>N-k} a_m^2
+    total = math.fsum([f.w0, *(-weights)])
+    for k in np.flatnonzero(weights) + 1:
+        diff = a[:-k] - a[k:]
+        total += 0.5 * weights[k - 1] * (float(diff @ diff) + head[k - 1] + tail[k - 1])
     return float(total)
 
 
 def product_cost_closed_form(n_ions: int) -> float:
     """Exact mean cost of the product state under the 4 sin^2(t/2) penalty.
 
-    Evaluates 2 [1 - 2^{-N} sum_{i=0}^{N-1} sqrt(C(N,i) C(N,i+1))] with
-    log-domain binomials; decays like 1/N for large N.
+    Equals 2 [1 - sum_{i=0}^{N-1} sqrt(p_i p_{i+1})] with p_i = C(N, i)/2^N,
+    evaluated without cancellation as
+    sum_i (sqrt(p_i) - sqrt(p_{i+1}))^2 + p_0 + p_N, where
+    sqrt(p_i) - sqrt(p_{i+1}) = sqrt(p_i) (2i+1-N) / ((i+1)(1 + sqrt((N-i)/(i+1)))).
+    The binomials are taken in the log domain; the cost decays like 1/N.
     """
     _check_n_ions(n_ions)
     log_fact = _log_factorials(n_ions)
-    # C(N, i) and C(N, i+1) for i = 0..N-1
-    log_binom_i = log_fact[-1] - log_fact[:-1] - log_fact[:0:-1]
-    log_binom_i1 = log_fact[-1] - log_fact[1:] - log_fact[-2::-1]
-    terms = np.exp(0.5 * (log_binom_i + log_binom_i1) - n_ions * np.log(2.0))
-    return float(2.0 * (1.0 - terms.sum()))
+    log_binom = log_fact[-1] - (log_fact + log_fact[::-1])
+    root_p = np.exp(0.5 * log_binom - 0.5 * n_ions * np.log(2.0))
+    i = np.arange(n_ions, dtype=float)
+    ratio = np.sqrt((n_ions - i) / (i + 1.0))
+    steps = root_p[:-1] * (2.0 * i + 1.0 - n_ions) / ((i + 1.0) * (1.0 + ratio))
+    return float(steps @ steps + math.ldexp(2.0, -n_ions))  # + p_0 + p_N

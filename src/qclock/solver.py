@@ -2,9 +2,11 @@
 
 Minimizing the quadratic form a^T F a over unit vectors is an eigenvalue
 problem: the optimal amplitude vector is the eigenvector of the smallest
-eigenvalue of F. Symmetric LAPACK drivers do the factorization work; this
-module picks a banded or dense path from the recorded bandwidth, enforces
-the residual contract, and fixes the sign convention.
+eigenvalue of F. F is symmetric Toeplitz and held as its first column, so
+no dense matrix is formed: a tridiagonal F goes to LAPACK's tridiagonal
+solver, a wider band to Lanczos (ARPACK) on ``CostMatrix.matvec``. The
+same matvec checks the residual contract; the sign convention is fixed
+last.
 """
 
 from __future__ import annotations
@@ -55,30 +57,40 @@ class EigenPair:
         object.__setattr__(self, "eigenvector", vec)
 
 
-def _solve_smallest(matrix: np.ndarray, bandwidth: int):
-    dim = matrix.shape[0]
+def _solve_smallest(matrix: CostMatrix):
+    dim = matrix.dim
     if dim == 1:
-        return float(matrix[0, 0]), np.ones(1)
-    try:
-        if bandwidth <= 1:
-            diag = np.diagonal(matrix).copy()
-            off = np.diagonal(matrix, offset=1).copy()
+        return float(matrix.column[0]), np.ones(1)
+    if matrix.bandwidth <= 1:
+        diag, off = matrix.column[:2]
+        try:
             values, vectors = scipy.linalg.eigh_tridiagonal(
-                diag, off, select="i", select_range=(0, 0)
+                np.full(dim, diag), np.full(dim - 1, off), select="i", select_range=(0, 0)
             )
-        elif bandwidth + 1 <= dim // 3:
-            # upper banded storage: band[b + i - j, j] = A[i, j]
-            band = np.zeros((bandwidth + 1, dim))
-            for k in range(bandwidth + 1):
-                band[bandwidth - k, k:] = np.diagonal(matrix, offset=k)
-            values, vectors = scipy.linalg.eig_banded(
-                band, select="i", select_range=(0, 0)
-            )
-        else:
-            values, vectors = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverConvergenceError(f"eigensolver did not converge: {exc}") from exc
+        except scipy.linalg.LinAlgError as exc:
+            raise SolverConvergenceError(f"eigensolver did not converge: {exc}") from exc
+        return float(values[0]), vectors[:, 0]
+    # Imported here: loading scipy.sparse.linalg would add ~30 ms to every CLI start.
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    operator = LinearOperator((dim, dim), matvec=matrix.matvec, dtype=float)
+    # Fixed start vector, so the result is deterministic: the positive
+    # sine profile, which overlaps the optimum of every built-in cost.
+    start = np.sin(np.pi * np.arange(1, dim + 1) / (dim + 1))
+    try:
+        values, vectors = eigsh(operator, k=1, which="SA", v0=start, tol=0)
+    except ArpackNoConvergence as exc:
+        raise SolverConvergenceError(f"Lanczos did not converge: {exc}") from exc
     return float(values[0]), vectors[:, 0]
+
+
+def _inf_norm(column: np.ndarray) -> float:
+    """||F||_inf of the symmetric Toeplitz matrix with this first column.
+
+    Row i sums |c_0| + sum_{k=1}^{i} |c_k| + sum_{k=1}^{N-i} |c_k|.
+    """
+    prefix = np.concatenate(([0.0], np.cumsum(np.abs(column[1:]))))
+    return abs(float(column[0])) + float(np.max(prefix + prefix[::-1]))
 
 
 def smallest_eigenpair(matrix: CostMatrix) -> EigenPair:
@@ -87,13 +99,15 @@ def smallest_eigenpair(matrix: CostMatrix) -> EigenPair:
     Deterministic for identical input. The returned vector is normalized
     and flipped so its largest-magnitude entry is positive. Non-convergence
     raises ``SolverConvergenceError`` instead of returning a wrong answer.
+    Time is O(N) for a tridiagonal matrix and O(N log N) per Lanczos step
+    otherwise; memory is O(N).
     """
-    eigenvalue, vector = _solve_smallest(matrix.entries, matrix.bandwidth)
+    eigenvalue, vector = _solve_smallest(matrix)
     vector = vector / np.linalg.norm(vector)
     if vector[np.argmax(np.abs(vector))] < 0.0:
         vector = -vector
-    residual = float(np.linalg.norm(matrix.entries @ vector - eigenvalue * vector))
-    scale = float(np.linalg.norm(matrix.entries, np.inf)) or 1.0
+    residual = float(np.linalg.norm(matrix.matvec(vector) - eigenvalue * vector))
+    scale = _inf_norm(matrix.column) or 1.0
     if residual > RESIDUAL_RTOL * scale:
         raise SolverConvergenceError(
             f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * ||F||_inf"

@@ -50,6 +50,31 @@ def wrapped_rms_series_mp(amplitudes, dps: int = 50) -> float:
         return float(mpmath.sqrt(total))
 
 
+def rayleigh_quotient_mp(amplitudes, w0: float, coefficients, dps: int = 40) -> float:
+    """a^T F a / a^T a for the cost matrix of (w0, w_1..w_K), in mpmath.
+
+    The float inputs convert exactly, so the only error left is the
+    rounding of the final value.
+    """
+    with mpmath.workdps(dps):
+        a = [mpmath.mpf(float(x)) for x in amplitudes]
+        norm_sq = mpmath.fdot(a, a)
+        total = mpmath.mpf(float(w0)) * norm_sq
+        for k, wk in enumerate(coefficients[: len(a) - 1], start=1):
+            if wk != 0.0:
+                total -= mpmath.mpf(float(wk)) * mpmath.fdot(a[:-k], a[k:])
+        return float(total / norm_sq)
+
+
+def product_cost_mp(n: int, dps: int = 40) -> float:
+    """2 [1 - 2^-N sum_i sqrt(C(N, i) C(N, i+1))] from exact binomials in mpmath."""
+    with mpmath.workdps(dps):
+        overlap = mpmath.fsum(
+            mpmath.sqrt(math.comb(n, i) * math.comb(n, i + 1)) for i in range(n)
+        )
+        return float(2 * (1 - overlap / mpmath.mpf(2) ** n))
+
+
 def outcome_probs_direct(amplitudes, t: float) -> np.ndarray:
     """Born probabilities from a direct complex double sum (no FFT)."""
     dim = len(amplitudes)

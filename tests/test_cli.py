@@ -281,15 +281,24 @@ def test_gnuplot_companion_script(capsys, tmp_path):
     assert "gnuplot" not in out
 
 
-def test_import_does_not_load_scipy_special():
-    # scipy.special costs ~0.1 s of start-up in every CLI process
-    code = "import sys, qclock.cli; print('scipy.special' in sys.modules)"
+def loaded_by_cli_import(module):
+    code = f"import sys, qclock.cli; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_import_does_not_load_scipy_special():
+    # scipy.special costs ~0.1 s of start-up in every CLI process
+    assert not loaded_by_cli_import("scipy.special")
+
+
+def test_import_does_not_load_scipy_sparse_linalg():
+    # only the Lanczos path needs it, and it costs ~30 ms of start-up
+    assert not loaded_by_cli_import("scipy.sparse.linalg")
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -8,16 +8,18 @@ from qclock import (
     CANONICAL_LABELS,
     ClockState,
     CostFunction,
+    CostMatrix,
     canonical_cost,
     cost_matrix,
     evaluate_cost,
     mean_cost_bound,
+    optimal_state,
     phase_state,
     product_cost_closed_form,
     product_state,
 )
 
-from oracles import random_clock_amplitudes
+from oracles import product_cost_mp, random_clock_amplitudes, rayleigh_quotient_mp
 
 SIN2 = canonical_cost("sin2", 1)
 
@@ -137,9 +139,29 @@ def test_mean_cost_bound_equals_quadratic_form():
                 assert abs(direct - quad_form) <= 1e-12
 
 
+def test_matvec_matches_dense_product():
+    rng = np.random.default_rng(13)
+    for dim in (1, 2, 3, 8, 33, 128, 257):
+        matrix = CostMatrix(rng.standard_normal(dim))
+        x = rng.standard_normal(dim)
+        scale = np.abs(matrix.column).sum() * np.abs(x).max()
+        np.testing.assert_allclose(
+            matrix.matvec(x), matrix.entries @ x, rtol=0, atol=1e-13 * scale
+        )
+
+
 def test_quadratic_form_dimension_mismatch():
     with pytest.raises(ValueError):
         cost_matrix(SIN2, 3).quadratic_form(np.ones(3))
+
+
+@pytest.mark.parametrize("label,n", [("sin2", 2000), ("sin2", 10**4), ("abs_sin_half", 300)])
+def test_mean_cost_bound_matches_mpmath_rayleigh_quotient(label, n):
+    # the optimal sin2 cost is ~pi^2/N^2, where w0 - sum_k w_k r_k cancels
+    f = canonical_cost(label, n)
+    state = optimal_state(f, n)
+    reference = rayleigh_quotient_mp(state.amplitudes, f.w0, f.coefficients)
+    assert abs(mean_cost_bound(state, f) - reference) <= 1e-13 * abs(reference)
 
 
 @pytest.mark.parametrize("n", [1, 2, 20, 100])
@@ -172,6 +194,12 @@ def test_product_cost_closed_form_matches_bound_up_to_512():
         closed = product_cost_closed_form(n)
         bound = mean_cost_bound(product_state(n), SIN2)
         assert abs(closed - bound) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1000, 3000])
+def test_product_cost_closed_form_matches_mpmath(n):
+    reference = product_cost_mp(n)
+    assert abs(product_cost_closed_form(n) - reference) <= 1e-11 * reference
 
 
 def test_sin2_cost_respects_resolution_floor():

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from qclock import (
     CostFunction,
     CostMatrix,
+    SolverConvergenceError,
     canonical_cost,
     cost_matrix,
     mean_cost_bound,
@@ -12,6 +16,7 @@ from qclock import (
     optimal_state,
     smallest_eigenpair,
 )
+from qclock import cli
 
 from oracles import smallest_eigenvalue_bisection
 
@@ -55,7 +60,7 @@ def test_identity_matrix_degenerate_spectrum():
 
 
 def test_dim_one_matrix():
-    pair = smallest_eigenpair(CostMatrix(1, np.array([[3.5]]), 0))
+    pair = smallest_eigenpair(CostMatrix(np.array([3.5])))
     assert pair.eigenvalue == 3.5
     np.testing.assert_array_equal(pair.eigenvector, [1.0])
 
@@ -79,9 +84,9 @@ def test_residual_contract_reported():
         assert pair.residual_norm <= 1e-10 * np.linalg.norm(matrix.entries, np.inf)
 
 
-def test_banded_path_agrees_with_dense():
+def test_lanczos_path_agrees_with_dense():
     f = CostFunction(3.0, np.array([1.0, 0.5, 0.25]))
-    matrix = cost_matrix(f, 40)  # bandwidth 3 of dimension 41 takes the banded path
+    matrix = cost_matrix(f, 40)  # bandwidth 3 takes the Lanczos path
     pair = smallest_eigenpair(matrix)
     dense_values = np.linalg.eigvalsh(matrix.entries)
     assert abs(pair.eigenvalue - dense_values[0]) <= 1e-10
@@ -92,16 +97,51 @@ def test_eigenvalue_matches_inertia_bisection_oracle():
     for dim in range(2, 9):
         n = dim - 1
         matrices = [
-            cost_matrix(canonical_cost(label, max(1, n)), n).entries
+            cost_matrix(canonical_cost(label, max(1, n)), n)
             for label in ("sin2", "abs", "abs_sin_half", "neg_delta")
         ]
         for _ in range(3):
-            raw = rng.standard_normal((dim, dim))
-            matrices.append(0.5 * (raw + raw.T))
-        for entries in matrices:
-            pair = smallest_eigenpair(CostMatrix(dim, entries, dim - 1))
-            oracle = smallest_eigenvalue_bisection(entries)
+            matrices.append(CostMatrix(rng.standard_normal(dim)))
+        for matrix in matrices:
+            pair = smallest_eigenpair(matrix)
+            oracle = smallest_eigenvalue_bisection(matrix.entries)
             assert abs(pair.eigenvalue - oracle) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 9, 32, 100, 257, 1000])
+@pytest.mark.parametrize("label", ["abs", "abs_sin_half", "neg_delta"])
+def test_lanczos_eigenvalue_matches_dense(label, n):
+    matrix = cost_matrix(canonical_cost(label, n), n)
+    assert matrix.bandwidth >= 2
+    pair = smallest_eigenpair(matrix)
+    dense = np.linalg.eigvalsh(matrix.entries)[0]
+    assert abs(pair.eigenvalue - dense) <= 1e-12 * abs(dense)
+
+
+@pytest.mark.parametrize("label", ["sin2", "abs"])
+def test_optimal_state_memory_is_linear_in_n(label):
+    # the dense cost matrix alone would take 4001^2 * 8 bytes = 128 MB
+    f = canonical_cost(label, 4000)
+    tracemalloc.start()
+    try:
+        optimal_state(f, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+def test_lanczos_non_convergence_raises(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "no convergence", np.empty(0), np.empty((0, 0))
+        )
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    with pytest.raises(SolverConvergenceError):
+        smallest_eigenpair(cost_matrix(canonical_cost("abs", 10), 10))
+    assert cli.main(["state", "--kind", "optimal", "--cost", "abs", "--n", "10"]) == 3
+    assert "converge" in capsys.readouterr().err
 
 
 def test_variational_property():
@@ -144,6 +184,14 @@ def test_optimal_state_sin2_n20_cost_near_asymptote():
     assert abs(achieved - target) <= 0.15 * target
     pair = smallest_eigenpair(cost_matrix(SIN2, 20))
     assert abs(achieved - pair.eigenvalue) <= 1e-12
+
+
+def test_optimal_state_sin2_large_n_is_sine_state():
+    n = 10**4
+    state = optimal_state(SIN2, n)
+    m = np.arange(n + 1)
+    sine = np.sqrt(2.0 / (n + 2)) * np.sin(np.pi * (m + 1) / (n + 2))
+    assert np.linalg.norm(state.amplitudes - sine) <= 1e-9
 
 
 def test_optimal_state_neg_delta_is_phase_state():
