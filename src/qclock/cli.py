@@ -1,7 +1,10 @@
 """Command-line front-end emitting versioned CSV/JSON tables.
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
-2 usage error, 3 numerical non-convergence.
+2 usage error, 3 numerical failure: eigensolver non-convergence, an
+optimal eigenvector with mixed signs (``SignConventionError``) or running
+out of memory. Every nonzero exit writes an ``error: ...`` line to stderr
+instead of a traceback.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .measurement import (
     wrap_angle,
 )
 from .sim import KINDS, SimConfig, run_simulation, scan_n, state_for
-from .solver import SolverConvergenceError
+from .solver import SignConventionError, SolverConvergenceError
 from .states import energy_stats
 
 SCHEMA_VERSION = "1"
@@ -392,8 +395,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SolverConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SolverConvergenceError, SignConventionError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

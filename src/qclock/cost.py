@@ -203,17 +203,31 @@ def mean_cost_bound(state: ClockState, f: CostFunction) -> float:
     tail, whereas w0 - sum_k w_k r_k cancels to a relative error growing
     like N^2 for smooth states.
     """
-    a = state.amplitudes
     order = min(f.order, state.n_ions)
     weights = f.coefficients[:order]
+    lags = np.flatnonzero(weights) + 1
+    deficits = _one_minus_autocorrelation(state.amplitudes, lags)
+    total = math.fsum([f.w0, *(-weights)])
+    for weight, deficit in zip(weights[lags - 1], deficits):
+        total += weight * deficit
+    return float(total)
+
+
+def _one_minus_autocorrelation(a: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """1 - r_k for unit-norm amplitudes a at each lag k in 1..N.
+
+    Each value is (1/2) [sum_m (a_m - a_{m+k})^2 + sum_{m<k} a_m^2
+    + sum_{m>N-k} a_m^2], a sum of nonnegative terms, so it keeps its
+    relative precision where r_k is close to 1.
+    """
     squares = a * a
     head = np.cumsum(squares)  # head[k-1] = sum_{m<k} a_m^2
     tail = np.cumsum(squares[::-1])  # tail[k-1] = sum_{m>N-k} a_m^2
-    total = math.fsum([f.w0, *(-weights)])
-    for k in np.flatnonzero(weights) + 1:
+    out = np.empty(len(lags))
+    for i, k in enumerate(lags):
         diff = a[:-k] - a[k:]
-        total += 0.5 * weights[k - 1] * (float(diff @ diff) + head[k - 1] + tail[k - 1])
-    return float(total)
+        out[i] = 0.5 * (float(diff @ diff) + head[k - 1] + tail[k - 1])
+    return out
 
 
 def product_cost_closed_form(n_ions: int) -> float:

@@ -10,10 +10,15 @@ so every statistic is an integral of the one kernel K (covariance). This
 module computes outcome distributions, Bayesian posteriors on the uniform
 prior, mean costs, the wrapped RMS time error, and the mutual information.
 
-The RMS error is an exact terminating series. The posterior, the mutual
-information and the direct mean cost sample K on a uniform grid over
-[0, 2*pi) by one zero-padded FFT and use the periodic trapezoid rule,
-exact for trigonometric polynomials of degree below the node count.
+The RMS error is an exact terminating series, summed in 1 - r_k so that it
+does not cancel at large N. The posterior, the mutual information and the
+direct mean cost sample K on a uniform grid over [0, 2*pi) by one
+zero-padded FFT and use the periodic trapezoid rule, exact for
+trigonometric polynomials of degree below the node count. Outcome
+distributions at arbitrary times (also the sampler's, block by block) come
+from one kernel that builds the phases exp(-i m t) by angle addition,
+2 sqrt(N+1) complex exponentials per time instead of N+1, followed by an
+(N+1)-point inverse FFT.
 """
 
 from __future__ import annotations
@@ -23,12 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostFunction, evaluate_cost, mean_cost_bound
+from .cost import CostFunction, _one_minus_autocorrelation, evaluate_cost, mean_cost_bound
 from .states import ClockState, _check_n_ions
 
 TWO_PI = 2.0 * np.pi
 SINGULARITY_WINDOW = 1e-6
-_CHUNK_ROWS = 2048
+_BOOLE_START = 64
+_GENOCCHI = (1.0, 1.0, 0.0, -1.0, 0.0, 3.0, 0.0, -17.0, 0.0, 155.0, 0.0, -2073.0)
 
 __all__ = [
     "OutcomeDistribution",
@@ -131,19 +137,24 @@ def wrap_angle(x):
 def _outcome_prob_matrix(amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
     """P(t_j | t) for each time (rows) and outcome (columns).
 
-    For fixed t the amplitudes rotated by exp(-i m t) are transformed to
-    the outcome basis by an (N+1)-point inverse DFT; rows are processed in
-    chunks to bound memory at large grids.
+    The phases exp(-i m t) come by angle addition: with L = ceil(sqrt(N+1))
+    and m = q L + p, exp(-i m t) = exp(-i q L t) exp(-i p t), so a row costs
+    2L complex exponentials instead of N+1. The rotated amplitudes are then
+    transformed to the outcome basis by an (N+1)-point inverse DFT. Memory
+    is O(rows * (N+1)); callers bound the number of rows.
     """
     dim = amplitudes.size
-    modes = np.arange(dim)
-    out = np.empty((times.size, dim))
-    for lo in range(0, times.size, _CHUNK_ROWS):
-        block = times[lo : lo + _CHUNK_ROWS]
-        rotated = amplitudes * np.exp(-1j * np.outer(block, modes))
-        translated = np.fft.ifft(rotated, axis=1) * dim
-        out[lo : lo + block.size] = (translated.real**2 + translated.imag**2) / dim
-    return out
+    side = math.isqrt(dim - 1) + 1
+    levels = -(-dim // side)
+    low = np.exp(-1j * np.outer(times, np.arange(side)))
+    high = np.exp(-1j * np.outer(times, side * np.arange(levels)))
+    padded = np.zeros(levels * side)
+    padded[:dim] = amplitudes
+    rotated = high[:, :, None] * low[:, None, :]
+    rotated *= padded.reshape(levels, side)
+    rotated = rotated.reshape(times.size, levels * side)[:, :dim]
+    translated = np.fft.ifft(rotated, axis=1) * dim
+    return (translated.real**2 + translated.imag**2) / dim
 
 
 def outcome_distribution(state: ClockState, t: float) -> OutcomeDistribution:
@@ -287,14 +298,37 @@ def circular_rms_error(state: ClockState) -> float:
     with wrap mapping to (-pi, pi]. wrap(T)^2 has cosine coefficients
     4 (-1)^k / k^2 and K stops at frequency N, so Delta_t^2 is exactly
     pi^2/3 + 4 sum_{k=1}^{N} (-1)^k r_k / k^2, r_k = sum_m a_m a_{m+k}.
-    The r_k are direct sums; an FFT autocorrelation drifts ~1e-10 at N ~ 10^3.
+    As pi^2/3 + 4 sum_{k>=1} (-1)^k / k^2 = 0, this is evaluated as
+
+        4 sum_{k=1}^{N} (-1)^{k+1} (1 - r_k) / k^2 + 4 (-1)^N S(N+1),
+
+    S(x) = sum_{j>=0} (-1)^j / (x+j)^2, with each 1 - r_k a sum of squares
+    and S from its Euler-Boole expansion. The pi^2/3 form cancels down to
+    Delta_t^2 ~ 1/N^2 and loses ~N^2 eps relative for states near optimal.
     """
-    a = state.amplitudes
-    lags = np.arange(1, state.dim)
-    autocorr = np.correlate(a, a, "full")[state.dim :]
-    signs = np.where(lags % 2 == 1, -4.0, 4.0)
-    total = np.pi**2 / 3.0 + float(np.sum(signs * autocorr / lags**2))
-    return float(np.sqrt(total))
+    n = state.n_ions
+    lags = np.arange(1, n + 1)
+    terms = _one_minus_autocorrelation(state.amplitudes, lags) / lags**2
+    terms[1::2] *= -1.0
+    total = math.fsum([*terms, (-1) ** n * _alternating_inverse_squares(n + 1)])
+    return float(np.sqrt(4.0 * total))
+
+
+def _alternating_inverse_squares(start: int) -> float:
+    """S = sum_{k>=start} (-1)^(k-start) / k^2 for start >= 1, to roundoff.
+
+    Terms below x = max(start, 64) are summed directly. The rest is
+    sum_{j>=0} (-1)^j f(x+j) = f(x)/(1 + e^D) for f = 1/x^2, whose
+    Euler-Boole expansion sum_n G_n / (2 x^(n+2)) has Genocchi-number
+    coefficients; the first omitted term is below 1e-15 relative at x = 64.
+    """
+    x = max(start, _BOOLE_START)
+    head = [(-1) ** (k - start) / k**2 for k in range(start, x)]
+    series = 0.0
+    for coefficient in reversed(_GENOCCHI):
+        series = series / x + coefficient
+    series *= 0.5 / (x * x)
+    return math.fsum([*head, (-1) ** (x - start) * series])
 
 
 def mutual_information_bits(state: ClockState, grid_size: int | None = None) -> float:

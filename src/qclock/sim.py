@@ -5,11 +5,20 @@ Born-rule distribution by inverse CDF, and aggregates empirical cost and
 error statistics. Randomness comes from the counter-based Philox generator
 keyed by the configured seed: sample i consumes row i of a (samples, 2)
 uniform block laid out in fixed counter order, so results are bitwise
-reproducible and independent of how the computation is chunked.
+reproducible.
+
+Outcomes are drawn in blocks of max(1, 2**18 // (N+1)) samples on a thread
+pool of min(os.cpu_count(), blocks) workers; each block writes only its
+slice of one per-sample outcome array, so the results do not depend on the
+block size or the worker count. Memory is O(samples + workers * block)
+rather than O(samples * (N+1)). Costs, wrapped errors and every aggregate
+are computed in the calling thread over the whole per-sample arrays.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +36,8 @@ from .states import ClockState, max_energy_spread_state, phase_state, product_st
 KINDS = ("product", "phase", "optimal", "max_spread")
 DEFAULT_HISTOGRAM_BINS = 101
 PHASE_MATCH_TOL = 1e-9
+# Outcome probabilities per sampler block; bounds each worker's memory.
+_BLOCK_ENTRIES = 2**18
 
 __all__ = [
     "KINDS",
@@ -105,6 +116,33 @@ class SimResult:
         object.__setattr__(self, "bin_edges", edges)
 
 
+def _sample_outcomes(
+    amplitudes: np.ndarray, true_times: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """Inverse-CDF outcome of each sample, computed in blocks on a thread pool.
+
+    Each block counts u > cumsum(P(t_j | t)) in ascending outcome order and
+    writes only its own slice of the result, so the outcomes do not depend
+    on the block size or the worker count.
+    """
+    n_ions = amplitudes.size - 1
+    rows = max(1, _BLOCK_ENTRIES // amplitudes.size)
+    outcomes = np.empty(true_times.size, dtype=np.intp)
+
+    def fill(lo: int) -> None:
+        hi = lo + rows
+        cumulative = np.cumsum(_outcome_prob_matrix(amplitudes, true_times[lo:hi]), axis=1)
+        counts = np.count_nonzero(uniforms[lo:hi, None] > cumulative, axis=1)
+        outcomes[lo:hi] = np.minimum(counts, n_ions)
+
+    starts = range(0, true_times.size, rows)
+    workers = min(os.cpu_count() or 1, len(starts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for _ in pool.map(fill, starts):
+            pass
+    return outcomes
+
+
 def run_simulation(config: SimConfig, bins: int = DEFAULT_HISTOGRAM_BINS) -> SimResult:
     """Simulate clock runs and aggregate the empirical statistics.
 
@@ -119,11 +157,7 @@ def run_simulation(config: SimConfig, bins: int = DEFAULT_HISTOGRAM_BINS) -> Sim
     draws = rng.random((config.samples, 2))
     true_times = 2.0 * np.pi * draws[:, 0]
 
-    probabilities = _outcome_prob_matrix(state.amplitudes, true_times)
-    cumulative = np.cumsum(probabilities, axis=1)
-    outcomes = np.minimum(
-        (draws[:, 1][:, None] > cumulative).sum(axis=1), config.n_ions
-    )
+    outcomes = _sample_outcomes(state.amplitudes, true_times, draws[:, 1])
     estimates = measurement_times(config.n_ions)[outcomes]
 
     errors = wrap_angle(estimates - true_times)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from qclock import cli
+import qclock.sim as sim_module
 from qclock.sim import ScanRow
+from qclock.solver import SignConventionError
 
 
 def run_cli(capsys, argv):
@@ -194,6 +196,33 @@ def test_scan_solver_failure_exits_3(capsys, monkeypatch):
     assert "did not converge" in out  # row is still emitted
     assert "converge" in err
 
+
+
+def test_sign_convention_error_exits_3(capsys, monkeypatch):
+    def mixed_signs(f, n_ions):
+        raise SignConventionError("minimal eigenvector has mixed signs")
+
+    monkeypatch.setattr(sim_module, "optimal_state", mixed_signs)
+    code, out, err = run_cli(
+        capsys, ["state", "--kind", "optimal", "--cost", "sin2", "--n", "6"]
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: minimal eigenvector has mixed signs\n"
+
+
+def test_memory_error_exits_3(capsys, monkeypatch):
+    def out_of_memory(config):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_simulation", out_of_memory)
+    code, out, err = run_cli(
+        capsys,
+        ["simulate", "--kind", "phase", "--n", "4", "--cost", "sin2", "--samples", "10"],
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: MemoryError\n"
 
 def test_simulate_json_deterministic(capsys):
     argv = ["simulate", "--kind", "phase", "--n", "8", "--cost", "sin2",

@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qclock import (
     ClockState,
@@ -25,6 +28,7 @@ from qclock import (
     state_for,
     wrap_angle,
 )
+from qclock.measurement import _alternating_inverse_squares, _outcome_prob_matrix
 
 from oracles import (
     outcome_probs_direct,
@@ -112,6 +116,41 @@ def test_completeness_over_random_times():
     for t in rng.uniform(-10.0, 10.0, size=100):
         dist = outcome_distribution(state, float(t))
         assert abs(dist.probabilities.sum() - 1.0) <= 1e-12
+
+
+@st.composite
+def amplitudes_and_times(draw):
+    n = draw(st.integers(1, 64))
+    raw = draw(st.lists(st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1))
+    a = np.array(raw)
+    norm = np.linalg.norm(a)
+    if norm < 1e-3:
+        a = np.ones(n + 1)
+        norm = np.sqrt(n + 1)
+    times = draw(
+        st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=4)
+    )
+    return a / norm, np.array(times)
+
+
+def _uniform_case(dim):
+    return np.full(dim, 1.0 / np.sqrt(dim)), np.array([0.0, 1.0, 6.28])
+
+
+# N + 1 prime (61, 2), a perfect square (64) and neither (65).
+@example(case=_uniform_case(61))
+@example(case=_uniform_case(2))
+@example(case=_uniform_case(64))
+@example(case=_uniform_case(65))
+@settings(max_examples=60, deadline=None)
+@given(case=amplitudes_and_times())
+def test_angle_addition_kernel_matches_direct_sum(case):
+    amplitudes, times = case
+    rows = _outcome_prob_matrix(amplitudes, times)
+    for t, row in zip(times, rows):
+        oracle = outcome_probs_direct(amplitudes, float(t))
+        np.testing.assert_allclose(row, oracle, rtol=0, atol=1e-12)
+        assert abs(row.sum() - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
@@ -306,6 +345,20 @@ def test_circular_rms_error_matches_series_oracle():
             state = state_for(kind, n, "sin2")
             exact = wrapped_rms_series_mp(state.amplitudes)
             assert abs(circular_rms_error(state) - exact) <= 1e-10 * exact
+
+
+@pytest.mark.parametrize("start", [1, 2, 3, 63, 64, 65, 1025, 10**4])
+def test_alternating_inverse_squares_matches_mpmath(start):
+    with mpmath.workdps(30):
+        exact = float(mpmath.nsum(lambda j: (-1) ** j / (start + j) ** 2, [0, mpmath.inf]))
+    assert abs(_alternating_inverse_squares(start) - exact) <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_circular_rms_error_optimal_large_n_matches_mpmath(n):
+    state = state_for("optimal", n, "sin2")
+    exact = wrapped_rms_series_mp(state.amplitudes)
+    assert abs(circular_rms_error(state) - exact) <= 1e-13 * exact
 
 
 def test_phase_state_error_scales_as_inverse_sqrt_n():

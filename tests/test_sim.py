@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from qclock import (
     smallest_eigenpair,
     state_for,
 )
+from qclock.sim import DEFAULT_HISTOGRAM_BINS
 from qclock.solver import SolverConvergenceError
 import qclock.sim as sim_module
 
@@ -71,6 +75,120 @@ def test_histogram_mass_and_binning():
     middle = result.histogram.size // 2
     assert edges[middle] < 0.0 < edges[middle + 1]  # one bin straddles zero
 
+
+# Recorded from the sampler before it streamed over blocks: (kind, N, cost,
+# samples, seed), then float.hex of the mean cost, delta_t and standard
+# error, then the histogram counts (a dict holds only the nonzero bins).
+GOLDEN_RUNS = [
+    (
+        ("optimal", 300, "sin2", 20000, 1),
+        ("0x1.c079b861b873fp-14", "0x1.52d90f6a76debp-7", "0x1.0c237f7a7bf28p-19"),
+        {48: 3, 49: 48, 50: 19899, 51: 49, 52: 1},
+    ),
+    (
+        ("product", 200, "abs", 20000, 2),
+        ("0x1.cbdbdfc9cbee0p-5", "0x1.20408e39466dap-4", "0x1.3aa767d88390dp-12"),
+        {45: 1, 46: 19, 47: 253, 48: 1606, 49: 4737, 50: 6829, 51: 4731, 52: 1554,
+        53: 244, 54: 25, 55: 1},
+    ),
+    (
+        ("max_spread", 33, "abs_sin_half", 5000, 11),
+        ("0x1.457d6b42c97a8p-1", "0x1.d11ca0a995bcdp+0", "0x1.2052f3c36ab6fp-8"),
+        [24, 92, 29, 20, 87, 40, 18, 100, 31, 22, 93, 34, 12, 89, 55, 10, 77, 62, 5, 80,
+        68, 6, 81, 59, 9, 80, 69, 7, 69, 66, 3, 60, 87, 8, 60, 60, 18, 40, 94, 12, 45,
+        97, 18, 41, 82, 26, 38, 100, 22, 34, 74, 43, 29, 125, 33, 18, 86, 44, 22, 71,
+        34, 19, 70, 52, 19, 76, 60, 14, 69, 62, 11, 69, 64, 3, 80, 52, 10, 68, 88, 14,
+        70, 77, 8, 62, 76, 18, 53, 85, 16, 41, 84, 12, 45, 91, 28, 43, 85, 23, 32, 101,
+        32],
+    ),
+    (
+        ("phase", 1, "sin2", 3000, 5),
+        ("0x1.02593def3538cp+0", "0x1.2436baaf56777p+0", "0x1.2b145df1e247dp-6"),
+        [1, 0, 1, 0, 0, 2, 0, 2, 5, 4, 6, 8, 13, 8, 10, 12, 14, 13, 22, 20, 14, 16, 21,
+        21, 30, 35, 36, 38, 39, 36, 36, 39, 52, 41, 46, 58, 48, 50, 48, 51, 61, 55, 55,
+        50, 48, 53, 55, 66, 48, 60, 67, 48, 64, 59, 56, 61, 65, 62, 51, 42, 63, 47, 55,
+        58, 39, 54, 51, 37, 35, 37, 43, 34, 37, 37, 41, 35, 20, 36, 23, 26, 29, 15, 20,
+        13, 13, 13, 13, 10, 9, 6, 4, 4, 6, 2, 8, 2, 0, 2, 1, 0, 0],
+    ),
+    (
+        ("phase", 17, "neg_delta", 4000, 2**63 + 12345),
+        ("-0x1.6c274bc569642p+1", "0x1.bb533a2485d26p-2", "0x1.23cd121d6d08cp-5"),
+        [1, 2, 5, 1, 0, 0, 2, 3, 4, 2, 1, 0, 1, 2, 2, 2, 0, 1, 2, 3, 3, 0, 0, 1, 2, 4,
+        4, 0, 0, 7, 7, 9, 0, 0, 4, 7, 11, 12, 3, 1, 8, 29, 43, 22, 5, 11, 92, 241, 482,
+        669, 698, 608, 437, 247, 104, 7, 6, 13, 22, 25, 6, 1, 3, 8, 20, 5, 1, 0, 5, 12,
+        11, 2, 1, 0, 1, 1, 3, 1, 0, 2, 4, 3, 1, 1, 0, 2, 6, 4, 0, 0, 2, 2, 0, 5, 1, 0,
+        0, 2, 4, 2, 0],
+    ),
+
+]
+
+
+@pytest.mark.parametrize("config, scalars, counts", GOLDEN_RUNS)
+def test_run_simulation_golden_outputs(config, scalars, counts):
+    result = run_simulation(SimConfig(*config))
+    observed = (
+        result.empirical_mean_cost.hex(),
+        result.empirical_delta_t.hex(),
+        result.standard_error_cost.hex(),
+    )
+    assert observed == scalars
+    if isinstance(counts, dict):
+        expected = np.zeros(DEFAULT_HISTOGRAM_BINS, dtype=np.int64)
+        expected[list(counts)] = list(counts.values())
+    else:
+        expected = np.array(counts)
+    assert result.histogram.tolist() == expected.tolist()
+
+
+
+def _result_fields(result):
+    return (
+        result.empirical_mean_cost.hex(),
+        result.empirical_delta_t.hex(),
+        result.standard_error_cost.hex(),
+        result.histogram.tolist(),
+        result.bin_edges.tolist(),
+    )
+
+
+BLOCKING_CONFIG = SimConfig("optimal", 40, "abs", 3000, 2024)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 4096])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_results_do_not_depend_on_blocking(monkeypatch, rows, workers):
+    expected = _result_fields(run_simulation(BLOCKING_CONFIG))
+    monkeypatch.setattr(sim_module, "_BLOCK_ENTRIES", rows * 41)
+    monkeypatch.setattr(sim_module.os, "cpu_count", lambda: workers)
+    assert _result_fields(run_simulation(BLOCKING_CONFIG)) == expected
+
+
+def test_more_workers_than_cores_lose_no_block(monkeypatch):
+    # One-row blocks on 8 workers with a short switch interval interleave
+    # the workers' writes; a lost or misplaced block changes the result.
+    expected = _result_fields(run_simulation(BLOCKING_CONFIG))
+    monkeypatch.setattr(sim_module, "_BLOCK_ENTRIES", 41)
+    monkeypatch.setattr(sim_module.os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        observed = _result_fields(run_simulation(BLOCKING_CONFIG))
+    finally:
+        sys.setswitchinterval(interval)
+    assert observed == expected
+
+
+def test_simulation_memory_is_bounded(monkeypatch):
+    # The unblocked sampler held two (samples x (N+1)) float arrays, 80 MB each.
+    monkeypatch.setattr(sim_module.os, "cpu_count", lambda: 2)
+    config = SimConfig("phase", 1000, "sin2", 10**4, 8)
+    tracemalloc.start()
+    try:
+        run_simulation(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
 
 def test_phase_state_monte_carlo_matches_analytic_cost():
     result = run_simulation(SimConfig("phase", 20, "sin2", 10**5, 42))
