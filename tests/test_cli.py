@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -189,13 +190,19 @@ def test_scan_solver_failure_exits_3(capsys, monkeypatch):
         return [ScanRow(5, "optimal", None, None, None, None, "did not converge")]
 
     monkeypatch.setattr(cli, "scan_n", fake_scan)
-    code, out, err = run_cli(
-        capsys, ["scan", "--kinds", "optimal", "--cost", "sin2", "--n", "5:5"]
-    )
-    assert code == 3
-    assert "did not converge" in out  # row is still emitted
-    assert "converge" in err
-
+    argv = ["scan", "--kinds", "optimal", "--cost", "sin2", "--n", "5:5"]
+    outputs = {}
+    for fmt in ("csv", "json"):
+        code, outputs[fmt], err = run_cli(capsys, argv + ["--format", fmt])
+        assert code == 3
+        assert err == "scan: one or more rows failed to converge\n"
+    # the failed row is still emitted, with empty cells / nulls
+    assert outputs["csv"].splitlines()[-1] == "5,optimal,,,,,did not converge"
+    assert json.loads(outputs["json"])["payload"] == [
+        {"n": 5, "kind": "optimal", "mean_cost": None, "delta_t": None,
+         "mutual_information_bits": None, "matches_phase_state": None,
+         "error": "did not converge"}
+    ]
 
 
 def test_sign_convention_error_exits_3(capsys, monkeypatch):
@@ -297,17 +304,55 @@ def test_csv_uses_lf_line_endings_and_12_digits(capsys):
 
 
 def test_gnuplot_companion_script(capsys, tmp_path):
-    script = tmp_path / "fig.gp"
-    code, out, err = run_cli(
-        capsys,
-        ["posterior", "--kind", "phase", "--n", "6", "--gnuplot", str(script)],
-    )
-    assert code == 0
-    assert script.exists()
-    content = script.read_text()
-    assert "fig.csv" in content and "plot" in content
-    assert str(script) in err  # logged on stderr, not stdout
-    assert "gnuplot" not in out
+    for argv in (
+        ["posterior", "--kind", "phase", "--n", "6"],
+        ["scan", "--kinds", "phase,optimal", "--cost", "sin2", "--n", "2:4"],
+    ):
+        script = tmp_path / argv[0] / "fig.gp"
+        script.parent.mkdir()
+        code, out, err = run_cli(capsys, argv + ["--gnuplot", str(script)])
+        assert code == 0
+        assert script.exists()
+        content = script.read_text()
+        assert "fig.csv" in content and "plot" in content
+        assert str(script) in err  # logged on stderr, not stdout
+        assert "gnuplot" not in out
+        assert run_cli(capsys, argv) == (0, out, "")
+
+
+# sha256 of stdout, recorded before the writer was shared by all subcommands
+GOLDEN_COMMANDS = [
+    (["state", "--kind", "optimal", "--cost", "abs", "--n", "6"],
+     "bc256ed713aef225f98ba787a4098f9586aebe94d7578a2c1c0673356dd7cdd5",
+     "6b3ad2f3a7e42dfd76052819141f8a1ea9ebc3680c707b5c3ce0724aa5440464"),
+    (["posterior", "--kind", "product", "--n", "5", "--outcome", "2", "--grid", "30"],
+     "56e75da3cd4c7b648e90d8b4cb586e2f0490818e1d641a79ee6dc5c5a36c6e86",
+     "2bc171554b189a4622cd68b7fcd06bbbdb7ad7a70ca4d21ea8db8a247c1e8d8a"),
+    (["scan", "--kinds", "product,phase,optimal,max_spread", "--cost", "sin2",
+      "--n", "1:9:4"],
+     "ff8bcb291571147df40b4d6e9f41181732531d36332b0f6735c47f993884abc0",
+     "783fb3edcc39d380b7c0d949778527b841daf32d91804871bb3e9b82f5feb9e1"),
+    (["simulate", "--kind", "optimal", "--cost", "sin2", "--n", "8",
+      "--samples", "500", "--seed", "7"],
+     "2598a80b7e719ad651cb5884cb734579dfc524d5300f7a017b68659e1bb5dbd6",
+     "976d224b8c5eb0affda88e39a93b9e7519451865a18dfad3684cf14b22f20fa7"),
+    (["mutinfo", "--kind", "phase", "--n", "7"],
+     "cd15ac4d0d52d5d4cc38a6ab8e06785a2a48713e8aa90777be9e2da83857adde",
+     "c7288d0cf910cd891c69cc7ce28d5cea256afd95631c9112d0cfcbb89d070073"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, csv_sha256, json_sha256",
+    GOLDEN_COMMANDS,
+    ids=[argv[0] for argv, _, _ in GOLDEN_COMMANDS],
+)
+def test_cli_golden_outputs(capsys, argv, csv_sha256, json_sha256, fmt):
+    code, out, err = run_cli(capsys, argv + ["--format", fmt])
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == (csv_sha256 if fmt == "csv" else json_sha256)
 
 
 def loaded_by_cli_import(module):
