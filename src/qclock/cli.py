@@ -1,10 +1,15 @@
 """Command-line front-end emitting versioned CSV/JSON tables.
 
+Each subcommand builds its result once, as a JSON payload and the named
+columns of its CSV table, and one writer, ``_emit``, prints it in the
+chosen ``--format``.
+
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 2 usage error, 3 numerical failure: eigensolver non-convergence, an
 optimal eigenvector with mixed signs (``SignConventionError``) or running
-out of memory. Every nonzero exit writes an ``error: ...`` line to stderr
-instead of a traceback.
+out of memory. A ``scan`` whose rows fail still prints them and exits 3;
+every other nonzero exit writes an ``error: ...`` line to stderr instead
+of a traceback.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -35,38 +41,43 @@ class UsageError(ValueError):
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".12g")
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
     return str(value)
 
 
-def _echo(command: str, params: dict) -> str:
-    parts = [command] + [f"{k}={v}" for k, v in params.items() if v is not None]
-    return " ".join(parts)
+def _emit(args, command, params, payload, columns) -> None:
+    """Write ``payload`` to stdout in ``args.format``.
 
-
-def _write_csv(command, params, header, rows, scalars=None):
-    lines = [f"# schema_version={SCHEMA_VERSION}", f"# command={_echo(command, params)}"]
-    for name, value in (scalars or {}).items():
-        lines.append(f"# {name}={_fmt(value)}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
+    JSON prints the payload unchanged. CSV prints the payload's scalar
+    entries that are not columns as ``# name=value`` lines, then a header
+    and the rows of ``columns``, a dict of equal-length sequences.
+    """
+    given = {k: v for k, v in params.items() if v is not None}
+    if args.format == "json":
+        record = {
+            "schema_version": SCHEMA_VERSION,
+            "command": command,
+            "args": given,
+            "payload": payload,
+        }
+        sys.stdout.write(json.dumps(record, indent=2) + "\n")
+        return
+    echo = " ".join([command] + [f"{k}={v}" for k, v in given.items()])
+    lines = [f"# schema_version={SCHEMA_VERSION}", f"# command={echo}"]
+    if isinstance(payload, dict):
+        lines += [
+            f"# {name}={_fmt(value)}"
+            for name, value in payload.items()
+            if name not in columns and not isinstance(value, (list, dict))
+        ]
+    lines.append(",".join(columns))
+    lines += [",".join(map(_fmt, row)) for row in zip(*columns.values())]
     sys.stdout.write("\n".join(lines) + "\n")
-
-
-def _write_json(command, params, payload):
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "args": {k: v for k, v in params.items() if v is not None},
-        "payload": payload,
-    }
-    sys.stdout.write(json.dumps(record, indent=2) + "\n")
 
 
 def _write_gnuplot(path: str, title: str, plot_line: str) -> None:
@@ -94,33 +105,17 @@ def cmd_state(args) -> int:
     state = state_for(args.kind, args.n, cost_label)
     stats = energy_stats(state)
     cost_fn = canonical_cost(cost_label, max(1, args.n))
-    mean_cost = mean_cost_bound(state, cost_fn)
+    amplitudes = state.amplitudes.tolist()
+    payload = {
+        "amplitudes": amplitudes,
+        "mean_energy": stats.mean_energy,
+        "energy_stddev": stats.energy_stddev,
+        "resolution_bound": stats.resolution_bound,
+        "mean_cost": mean_cost_bound(state, cost_fn),
+    }
+    columns = {"m": range(len(amplitudes)), "amplitude": amplitudes}
     params = {"kind": args.kind, "n": args.n, "cost": cost_label}
-    if args.format == "json":
-        _write_json(
-            "state",
-            params,
-            {
-                "amplitudes": state.amplitudes.tolist(),
-                "mean_energy": stats.mean_energy,
-                "energy_stddev": stats.energy_stddev,
-                "resolution_bound": stats.resolution_bound,
-                "mean_cost": mean_cost,
-            },
-        )
-    else:
-        _write_csv(
-            "state",
-            params,
-            ["m", "amplitude"],
-            list(enumerate(state.amplitudes)),
-            scalars={
-                "mean_energy": stats.mean_energy,
-                "energy_stddev": stats.energy_stddev,
-                "resolution_bound": stats.resolution_bound,
-                "mean_cost": mean_cost,
-            },
-        )
+    _emit(args, "state", params, payload, columns)
     return 0
 
 
@@ -134,7 +129,13 @@ def cmd_posterior(args) -> int:
     state = state_for(args.kind, args.n, args.cost)
     post = posterior(state, args.outcome, grid_size)
     t_r = measurement_times(args.n)[args.outcome]
-    offsets = wrap_angle(post.grid - t_r)
+    payload = {
+        "outcome_time": t_r,
+        "t": post.grid.tolist(),
+        "offset": wrap_angle(post.grid - t_r).tolist(),
+        "density": post.density.tolist(),
+    }
+    columns = {name: payload[name] for name in ("t", "offset", "density")}
     params = {
         "kind": args.kind,
         "n": args.n,
@@ -148,26 +149,7 @@ def cmd_posterior(args) -> int:
             f"posterior density, kind={args.kind}, n={args.n}",
             "plot '{datafile}' using 2:3 with lines",
         )
-    if args.format == "json":
-        _write_json(
-            "posterior",
-            params,
-            {
-                "outcome_time": t_r,
-                "t": post.grid.tolist(),
-                "offset": offsets.tolist(),
-                "density": post.density.tolist(),
-            },
-        )
-    else:
-        rows = list(zip(post.grid, offsets, post.density))
-        _write_csv(
-            "posterior",
-            params,
-            ["t", "offset", "density"],
-            rows,
-            scalars={"outcome_time": t_r},
-        )
+    _emit(args, "posterior", params, payload, columns)
     return 0
 
 
@@ -195,50 +177,19 @@ def cmd_scan(args) -> int:
         raise UsageError("--kinds must name at least one state kind")
     n_values = _parse_range(args.n)
     rows = scan_n(kinds, args.cost, n_values)
+    # ScanRow's fields in order, with n_ions named n
+    names = ("n", "kind", "mean_cost", "delta_t", "mutual_information_bits",
+             "matches_phase_state", "error")
+    payload = [dict(zip(names, astuple(row))) for row in rows]
+    columns = {name: [entry[name] for entry in payload] for name in names}
     params = {"kinds": ",".join(kinds), "cost": args.cost, "n": args.n}
-    header = [
-        "n",
-        "kind",
-        "mean_cost",
-        "delta_t",
-        "mutual_information_bits",
-        "matches_phase_state",
-        "error",
-    ]
     if args.gnuplot:
         _write_gnuplot(
             args.gnuplot,
             f"mean cost scan, cost={args.cost}",
             "set logscale xy\nplot '{datafile}' using 1:3 with linespoints",
         )
-    if args.format == "json":
-        payload = [
-            {
-                "n": row.n_ions,
-                "kind": row.kind,
-                "mean_cost": row.mean_cost,
-                "delta_t": row.delta_t,
-                "mutual_information_bits": row.mutual_information_bits,
-                "matches_phase_state": row.matches_phase_state,
-                "error": row.error,
-            }
-            for row in rows
-        ]
-        _write_json("scan", params, payload)
-    else:
-        table = [
-            (
-                row.n_ions,
-                row.kind,
-                row.mean_cost,
-                row.delta_t,
-                row.mutual_information_bits,
-                row.matches_phase_state,
-                row.error,
-            )
-            for row in rows
-        ]
-        _write_csv("scan", params, header, table)
+    _emit(args, "scan", params, payload, columns)
     if any(row.error for row in rows):
         print("scan: one or more rows failed to converge", file=sys.stderr)
         return 3
@@ -248,6 +199,15 @@ def cmd_scan(args) -> int:
 def cmd_simulate(args) -> int:
     config = SimConfig(args.kind, args.n, args.cost, args.samples, args.seed)
     result = run_simulation(config)
+    edges = result.bin_edges.tolist()
+    counts = result.histogram.tolist()
+    payload = {
+        "empirical_mean_cost": result.empirical_mean_cost,
+        "empirical_delta_t": result.empirical_delta_t,
+        "standard_error_cost": result.standard_error_cost,
+        "histogram": {"bin_edges": edges, "counts": counts},
+    }
+    columns = {"bin_left": edges[:-1], "bin_right": edges[1:], "count": counts}
     params = {
         "kind": args.kind,
         "n": args.n,
@@ -255,37 +215,7 @@ def cmd_simulate(args) -> int:
         "samples": args.samples,
         "seed": args.seed,
     }
-    if args.format == "csv":
-        edges = result.bin_edges
-        rows = [
-            (edges[i], edges[i + 1], int(count))
-            for i, count in enumerate(result.histogram)
-        ]
-        _write_csv(
-            "simulate",
-            params,
-            ["bin_left", "bin_right", "count"],
-            rows,
-            scalars={
-                "empirical_mean_cost": result.empirical_mean_cost,
-                "empirical_delta_t": result.empirical_delta_t,
-                "standard_error_cost": result.standard_error_cost,
-            },
-        )
-    else:
-        _write_json(
-            "simulate",
-            params,
-            {
-                "empirical_mean_cost": result.empirical_mean_cost,
-                "empirical_delta_t": result.empirical_delta_t,
-                "standard_error_cost": result.standard_error_cost,
-                "histogram": {
-                    "bin_edges": result.bin_edges.tolist(),
-                    "counts": result.histogram.tolist(),
-                },
-            },
-        )
+    _emit(args, "simulate", params, payload, columns)
     return 0
 
 
@@ -298,16 +228,9 @@ def cmd_mutinfo(args) -> int:
         "nats": bits * float(np.log(2.0)),
         "holevo_bound_bits": float(np.log2(args.n + 1)),
     }
+    columns = {name: [value] for name, value in payload.items()}
     params = {"kind": args.kind, "n": args.n, "cost": args.cost}
-    if args.format == "csv":
-        _write_csv(
-            "mutinfo",
-            params,
-            ["bits", "nats", "holevo_bound_bits"],
-            [(payload["bits"], payload["nats"], payload["holevo_bound_bits"])],
-        )
-    else:
-        _write_json("mutinfo", params, payload)
+    _emit(args, "mutinfo", params, payload, columns)
     return 0
 
 
