@@ -7,9 +7,9 @@ chosen ``--format``.
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 2 usage error, 3 numerical failure: eigensolver non-convergence, an
 optimal eigenvector with mixed signs (``SignConventionError``) or running
-out of memory. A ``scan`` whose rows fail still prints them and exits 3;
-every other nonzero exit writes an ``error: ...`` line to stderr instead
-of a traceback.
+out of memory. Every nonzero exit writes an ``error: ...`` line to
+stderr instead of a traceback; a ``scan`` whose rows fail still prints
+them before it exits 3.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def cmd_scan(args) -> int:
         )
     _emit(args, "scan", params, payload, columns)
     if any(row.error for row in rows):
-        print("scan: one or more rows failed to converge", file=sys.stderr)
+        print("error: one or more scan rows failed to converge", file=sys.stderr)
         return 3
     return 0
 

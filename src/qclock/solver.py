@@ -3,24 +3,47 @@
 Minimizing the quadratic form a^T F a over unit vectors is an eigenvalue
 problem: the optimal amplitude vector is the eigenvector of the smallest
 eigenvalue of F. F is symmetric Toeplitz and held as its first column, so
-no dense matrix is formed: a tridiagonal F goes to LAPACK's tridiagonal
-solver, a wider band to Lanczos (ARPACK) on ``CostMatrix.matvec``. The
-same matvec checks the residual contract; the sign convention is fixed
-last.
+no dense matrix is formed and no library eigensolver is called:
+
+* a tridiagonal F = c0 I + c1 (S + S^T) has the closed-form eigenpair
+  lambda = c0 - 2|c1| cos(pi/(N+2)), v_m = sin((m+1) pi/(N+2)), with the
+  signs alternating when c1 > 0;
+* a wider band goes to a single-vector LOBPCG (Knyazev, SIAM J. Sci.
+  Comput. 23, 517 (2001)) on ``CostMatrix.matvec``, preconditioned by
+  the inverse of a shifted Strang circulant (Chan & Ng, SIAM Rev. 38,
+  427 (1996)), which one FFT pair applies.
+
+F is centrosymmetric, so each eigenvector can be taken symmetric or
+skew-symmetric under m -> N - m, and F, the circulant and the iteration
+all keep the two classes apart. LOBPCG runs in the symmetric class, and
+also in the skew one unless every off-diagonal entry of F is <= 0: then
+Perron-Frobenius puts a minimizer among the symmetric vectors, as for
+every ``CostFunction``. It iterates until the residual stagnates, so the
+vector is exact to roundoff and exactly (skew-)symmetric. The same matvec
+checks the residual contract; the sign convention is fixed last.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .cost import CostFunction, CostMatrix, cost_matrix
 from .states import ClockState
 
 RESIDUAL_RTOL = 1e-10
 SIGN_TOL = 1e-10
+# LOBPCG steps per parity class before SolverConvergenceError; the
+# built-in costs stagnate after 20-60.
+_MAX_ITERATIONS = 300
+# A solve that meets the residual contract has stagnated, and stops, once
+# its smallest residual has not halved for this many steps.
+_STALL_STEPS = 3
+# A search direction is dropped when less than this fraction of it is
+# orthogonal to the directions before it.
+_DROP_TOL = 1e-13
 
 __all__ = [
     "SolverConvergenceError",
@@ -57,31 +80,162 @@ class EigenPair:
         object.__setattr__(self, "eigenvector", vec)
 
 
+def _tridiagonal_pair(c0: float, c1: float, dim: int):
+    """Closed-form smallest eigenpair of c0 I + c1 (S + S^T), S the shift.
+
+    For c1 = 0 the matrix is c0 I and every unit vector is an eigenvector;
+    e_0, the lowest energy level, is returned.
+    """
+    vector = np.zeros(dim)
+    if c1 == 0.0:
+        vector[0] = 1.0
+        return c0, vector
+    # c0 - 2|c1| cos(x) with 1 - cos(x) = 2 sin^2(x/2), free of cancellation.
+    half_angle = 0.5 * math.pi / (dim + 1)
+    eigenvalue = (c0 - 2.0 * abs(c1)) + 4.0 * abs(c1) * math.sin(half_angle) ** 2
+    m = np.arange(dim)
+    # sin(k pi/(N+2)) = sin((N+2-k) pi/(N+2)): folding k keeps the angle at
+    # most pi/2 and makes the vector exactly symmetric.
+    vector[:] = np.sin(np.minimum(m + 1, dim - m) * (math.pi / (dim + 1)))
+    if c1 > 0.0:
+        vector[1::2] *= -1.0
+    return eigenvalue, vector
+
+
+def _strang_preconditioner(column: np.ndarray):
+    """r -> (C - sigma I)^{-1} r for the Strang circulant C of F.
+
+    C wraps the central band of F's column around: c_k = t_k for
+    k <= dim/2 and t_{dim-k} above. Its eigenvalues are the real DFT of
+    that column; sigma lies below the smallest by 1/dim of their spread
+    (of 1 if C = c_0 I, as when only lags beyond dim/2 are nonzero), so
+    C - sigma I is positive definite and amplifies the low modes of the
+    circulant, where F's lowest eigenvectors live.
+    """
+    dim = column.size
+    half = dim // 2
+    spectrum = np.fft.rfft(np.concatenate((column[: half + 1], column[1 : dim - half][::-1]))).real
+    low, high = float(spectrum.min()), float(spectrum.max())
+    shifted = spectrum - (low - ((high - low) or 1.0) / dim)
+    return lambda r: np.fft.irfft(np.fft.rfft(r) / shifted, dim)
+
+
+def _orthonormal(vectors: list[np.ndarray]) -> list[np.ndarray]:
+    """Gram-Schmidt, applied twice, dropping numerically dependent vectors."""
+    basis: list[np.ndarray] = []
+    for v in vectors:
+        size = float(np.linalg.norm(v))
+        for _ in range(2):
+            for q in basis:
+                v = v - (q @ v) * q
+        norm = float(np.linalg.norm(v))
+        if norm > _DROP_TOL * size:
+            basis.append(v / norm)
+    return basis
+
+
+def _lobpcg(matrix: CostMatrix, precondition, parity: float, start: np.ndarray, tolerance: float):
+    """Lowest unit eigenvector of F among vectors with v[::-1] = parity * v.
+
+    Each step takes the Rayleigh-Ritz minimum over the current vector x,
+    the preconditioned residual and the previous step. Once the residual
+    is at most ``tolerance`` and has stagnated, returns the x with the
+    smallest residual.
+    """
+    def project(v):
+        return 0.5 * (v + parity * v[::-1])
+
+    x = project(start)
+    step = None
+    best_residual, best = math.inf, x
+    stalls = 0
+    for _ in range(_MAX_ITERATIONS):
+        x = x / np.linalg.norm(x)
+        fx = matrix.matvec(x)
+        eigenvalue = float(x @ fx)
+        gradient = fx - eigenvalue * x
+        residual = float(np.linalg.norm(gradient))
+        stalls = 0 if residual < 0.5 * best_residual else stalls + 1
+        if residual < best_residual:
+            best_residual, best = residual, x
+        if residual == 0.0 or (best_residual <= tolerance and stalls >= _STALL_STEPS):
+            return best
+        directions = [x, project(precondition(gradient))]
+        if step is not None:
+            directions.append(step)
+        basis = _orthonormal(directions)
+        images = [fx] + [matrix.matvec(v) for v in basis[1:]]
+        gram = np.column_stack(basis).T @ np.column_stack(images)
+        weights = np.linalg.eigh(0.5 * (gram + gram.T))[1][:, 0]
+        # Elementwise sums, not a matrix product, round mirrored entries
+        # alike, so x and the step stay exactly in their class.
+        step = sum((w * v for w, v in zip(weights[1:], basis[1:])), np.zeros(x.size))
+        x = weights[0] * basis[0] + step
+    raise SolverConvergenceError(
+        f"LOBPCG did not converge in {_MAX_ITERATIONS} iterations: "
+        f"residual {best_residual:.3e}, contract {tolerance:.3e}"
+    )
+
+
+def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
+    """Prefix sums of x with the rounding error of each step added back.
+
+    ``np.cumsum`` adds left to right; Knuth's TwoSum recovers the exact
+    error of every addition, and their own prefix sums correct the result,
+    so a long sum of similar terms is not N eps off.
+    """
+    total = np.cumsum(x)
+    before, term, after = total[:-1], x[1:], total[1:]
+    added = after - before
+    errors = (before - (after - added)) + (term - added)
+    total[1:] += np.cumsum(errors)
+    return total
+
+
+def _rayleigh_quotient(column: np.ndarray, x: np.ndarray) -> float:
+    """x^T F x for a unit vector x, without cancellation, in O(N log N).
+
+    With s = c_0 + 2 sum_k c_k, x^T F x = s - 2 sum_k c_k (1 - r_k), and
+    1 - r_k = (1/2) sum_{|l|<k} (k - |l|) rho_l, where rho is the
+    autocorrelation of d = diff([0, x, 0]). Summing over k first gives
+    x^T F x = s - sum_l g_|l| rho_l with g_l = sum_{k>l} (k - l) c_k, the
+    suffix sum of the suffix sums of c. For a smooth x near the bottom of
+    the spectrum every term is small, whereas x . Fx by FFT carries an
+    absolute error ~1e-16 ||F||, which at lambda ~ 1/N is ~1e-16 N
+    relative. An oscillating x is made smooth first by negating its odd
+    entries and the odd lags of F, which leaves x^T F x unchanged.
+    """
+    signs = np.where(np.arange(x.size) % 2, -1.0, 1.0)
+    if np.abs(np.diff(x * signs)).sum() < np.abs(np.diff(x)).sum():
+        column, x = column * signs, x * signs
+    tails = _compensated_cumsum(column[:0:-1])[::-1]  # tails[j] = sum_{k>j} c_k
+    weights = _compensated_cumsum(tails[::-1])[::-1]  # weights[l] = g_l, l = 0..N-1
+    d = np.diff(x, prepend=0.0, append=0.0)
+    size = 1 << (2 * d.size).bit_length()
+    rho = np.fft.irfft(np.abs(np.fft.rfft(d, size)) ** 2, size)[: weights.size]
+    s = math.fsum([*column, *column[1:]])
+    return s - float(weights[0] * rho[0] + 2.0 * (weights[1:] @ rho[1:]))
+
+
 def _solve_smallest(matrix: CostMatrix):
     dim = matrix.dim
+    column = matrix.column
     if dim == 1:
-        return float(matrix.column[0]), np.ones(1)
+        return float(column[0]), np.ones(1)
     if matrix.bandwidth <= 1:
-        diag, off = matrix.column[:2]
-        try:
-            values, vectors = scipy.linalg.eigh_tridiagonal(
-                np.full(dim, diag), np.full(dim - 1, off), select="i", select_range=(0, 0)
-            )
-        except scipy.linalg.LinAlgError as exc:
-            raise SolverConvergenceError(f"eigensolver did not converge: {exc}") from exc
-        return float(values[0]), vectors[:, 0]
-    # Imported here: loading scipy.sparse.linalg would add ~30 ms to every CLI start.
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-    operator = LinearOperator((dim, dim), matvec=matrix.matvec, dtype=float)
-    # Fixed start vector, so the result is deterministic: the positive
-    # sine profile, which overlaps the optimum of every built-in cost.
-    start = np.sin(np.pi * np.arange(1, dim + 1) / (dim + 1))
-    try:
-        values, vectors = eigsh(operator, k=1, which="SA", v0=start, tol=0)
-    except ArpackNoConvergence as exc:
-        raise SolverConvergenceError(f"Lanczos did not converge: {exc}") from exc
-    return float(values[0]), vectors[:, 0]
+        return _tridiagonal_pair(float(column[0]), float(column[1]), dim)
+    precondition = _strang_preconditioner(column)
+    tolerance = RESIDUAL_RTOL * (_inf_norm(column) or 1.0)
+    # Fixed start vectors, so the result is deterministic: the positive
+    # sine profile, which overlaps the optimum of every built-in cost, and
+    # its skew-symmetric counterpart.
+    m = np.arange(dim)
+    sine = np.sin(np.pi * (m + 1) / (dim + 1))
+    vectors = [_lobpcg(matrix, precondition, 1.0, sine, tolerance)]
+    if np.any(column[1:] > 0.0):
+        vectors.append(_lobpcg(matrix, precondition, -1.0, sine * (2 * m + 1 - dim), tolerance))
+    # The lower eigenvalue wins; on a tie the symmetric vector, listed first.
+    return min(((_rayleigh_quotient(column, v), v) for v in vectors), key=lambda pair: pair[0])
 
 
 def _inf_norm(column: np.ndarray) -> float:
@@ -99,7 +253,7 @@ def smallest_eigenpair(matrix: CostMatrix) -> EigenPair:
     Deterministic for identical input. The returned vector is normalized
     and flipped so its largest-magnitude entry is positive. Non-convergence
     raises ``SolverConvergenceError`` instead of returning a wrong answer.
-    Time is O(N) for a tridiagonal matrix and O(N log N) per Lanczos step
+    Time is O(N) for a tridiagonal matrix and O(N log N) per LOBPCG step
     otherwise; memory is O(N).
     """
     eigenvalue, vector = _solve_smallest(matrix)

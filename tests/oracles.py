@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: exact integer
 binomials instead of log-gamma, a terminating cosine series instead of
-quadrature, direct complex sums instead of FFTs, and LDL-inertia
-bisection instead of an eigensolver.
+quadrature, direct complex sums instead of FFTs, exact big-integer
+autocorrelations, LDL-inertia bisection instead of an eigensolver, and
+LAPACK's dense eigenpair refined in mpmath instead of an iterative one.
 """
 
 import math
@@ -53,20 +54,96 @@ def wrapped_rms_series_mp(amplitudes, dps: int = 50) -> float:
         return float(mpmath.sqrt(total / norm_sq))
 
 
+def _correlation_coefficients(x: list[int], y: list[int]) -> list[int]:
+    """sum_m x_{m+k} y_m for k = 0..len-1, for nonnegative integers, exactly.
+
+    Kronecker substitution: both sequences are packed into big integers
+    with slots wide enough that no sum carries, so one big-integer product
+    holds every correlation; coefficient N + k of x(z) y_rev(z) is lag k.
+    """
+    size = len(x)
+    slot = (2 * max(max(x), max(y), 1).bit_length() + size.bit_length() + 7) // 8
+    packed_x = int.from_bytes(b"".join(v.to_bytes(slot, "little") for v in x), "little")
+    packed_y = int.from_bytes(b"".join(v.to_bytes(slot, "little") for v in reversed(y)), "little")
+    raw = (packed_x * packed_y).to_bytes(slot * (2 * size), "little")
+    return [
+        int.from_bytes(raw[slot * j : slot * (j + 1)], "little")
+        for j in range(size - 1, 2 * size - 1)
+    ]
+
+
+def _exact_autocorrelations(amplitudes) -> list[int]:
+    """Integers R_k = 4^s r_k, r_k = sum_m a_m a_{m+k}, for some shift s.
+
+    Each float is an integer over a power of two, so a = A / 2^s with
+    integer A; R is the exact autocorrelation of A, from its positive and
+    negative parts.
+    """
+    ratios = [float(v).as_integer_ratio() for v in amplitudes]
+    shift = max(den.bit_length() - 1 for _, den in ratios)
+    scaled = [num << (shift - den.bit_length() + 1) for num, den in ratios]
+    plus = [max(v, 0) for v in scaled]
+    minus = [max(-v, 0) for v in scaled]
+    sums = [0] * len(scaled)
+    for x, y, sign in ((plus, plus, 1), (minus, minus, 1), (plus, minus, -1), (minus, plus, -1)):
+        if any(x) and any(y):
+            for k, value in enumerate(_correlation_coefficients(x, y)):
+                sums[k] += sign * value
+    return sums
+
+
 def rayleigh_quotient_mp(amplitudes, w0: float, coefficients, dps: int = 40) -> float:
     """a^T F a / a^T a for the cost matrix of (w0, w_1..w_K), in mpmath.
 
-    The float inputs convert exactly, so the only error left is the
-    rounding of the final value.
+    The float inputs convert exactly and the autocorrelations r_k are exact
+    integers (``_exact_autocorrelations``), so the only errors left are the
+    dps-digit weighted sum and the rounding of the final value. One
+    big-integer product replaces the O(N^2) mpmath dot products.
     """
+    sums = _exact_autocorrelations(amplitudes)
     with mpmath.workdps(dps):
-        a = [mpmath.mpf(float(x)) for x in amplitudes]
-        norm_sq = mpmath.fdot(a, a)
-        total = mpmath.mpf(float(w0)) * norm_sq
-        for k, wk in enumerate(coefficients[: len(a) - 1], start=1):
+        terms = [mpmath.mpf(float(w0)) * sums[0]]
+        for k, wk in enumerate(coefficients[: len(sums) - 1], start=1):
             if wk != 0.0:
-                total -= mpmath.mpf(float(wk)) * mpmath.fdot(a[:-k], a[k:])
-        return float(total / norm_sq)
+                terms.append(-mpmath.mpf(float(wk)) * sums[k])
+        return float(mpmath.fsum(terms) / sums[0])
+
+
+def smallest_eigenpair_mp(entries: np.ndarray, dps: int = 40, steps: int = 3):
+    """Smallest eigenpair of a symmetric matrix to ``dps`` digits.
+
+    LAPACK's dense ``eigh`` gives the start. Each Newton step on
+    F v = lam v, v.v = 1 takes the residual in mpmath and solves the
+    bordered correction system [[F - lam, -v], [-v^T, 0]] in floats, so it
+    multiplies the error by ~cond * 1e-16. (mpmath's own ``eigsy`` agrees,
+    but takes ~60 s at dimension 121.) Returns the eigenvalue and the
+    unit eigenvector, with its largest entry positive, as floats, and the
+    final residual ||F v - lam v||_2 in mpmath, which certifies them.
+    """
+    values, vectors = np.linalg.eigh(entries)
+    dim = len(values)
+    with mpmath.workdps(dps):
+        rows = [[mpmath.mpf(float(x)) for x in row] for row in entries]
+        vector = [mpmath.mpf(float(x)) for x in vectors[:, 0]]
+        value = mpmath.mpf(float(values[0]))
+
+        def residual():
+            return [mpmath.fdot(row, vector) - value * v for row, v in zip(rows, vector)]
+
+        for _ in range(steps):
+            bordered = np.zeros((dim + 1, dim + 1))
+            bordered[:dim, :dim] = entries - float(value) * np.eye(dim)
+            bordered[:dim, dim] = bordered[dim, :dim] = [-float(v) for v in vector]
+            rhs = [-float(r) for r in residual()]
+            rhs.append(float((mpmath.fdot(vector, vector) - 1) / 2))
+            correction = np.linalg.solve(bordered, rhs)
+            vector = [v + float(dv) for v, dv in zip(vector, correction[:dim])]
+            value += float(correction[dim])
+        final = residual()
+        norm = mpmath.sqrt(mpmath.fdot(vector, vector))
+        sign = 1 if max(vector, key=abs) > 0 else -1
+        unit = np.array([float(sign * v / norm) for v in vector])
+        return float(value), unit, mpmath.sqrt(mpmath.fdot(final, final))
 
 
 def product_cost_mp(n: int, dps: int = 40) -> float:

@@ -1,12 +1,13 @@
 import tracemalloc
 
 import numpy as np
+import mpmath
 import pytest
-import scipy.sparse.linalg
 
 from qclock import (
     CostFunction,
     CostMatrix,
+    SignConventionError,
     SolverConvergenceError,
     canonical_cost,
     cost_matrix,
@@ -17,8 +18,9 @@ from qclock import (
     smallest_eigenpair,
 )
 from qclock import cli
+from qclock import solver as solver_module
 
-from oracles import smallest_eigenvalue_bisection
+from oracles import rayleigh_quotient_mp, smallest_eigenpair_mp, smallest_eigenvalue_bisection
 
 SIN2 = canonical_cost("sin2", 1)
 
@@ -84,12 +86,21 @@ def test_residual_contract_reported():
         assert pair.residual_norm <= 1e-10 * np.linalg.norm(matrix.entries, np.inf)
 
 
-def test_lanczos_path_agrees_with_dense():
+def test_lobpcg_path_agrees_with_dense():
     f = CostFunction(3.0, np.array([1.0, 0.5, 0.25]))
-    matrix = cost_matrix(f, 40)  # bandwidth 3 takes the Lanczos path
+    matrix = cost_matrix(f, 40)  # bandwidth 3 takes the LOBPCG path
     pair = smallest_eigenpair(matrix)
     dense_values = np.linalg.eigvalsh(matrix.entries)
     assert abs(pair.eigenvalue - dense_values[0]) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_lobpcg_lag_two_cost_agrees_with_dense(n):
+    # At N = 2 the only coupling lies beyond dim/2, so the Strang circulant
+    # of F is the identity.
+    matrix = cost_matrix(CostFunction(1.0, np.array([0.0, 1.0])), n)
+    pair = smallest_eigenpair(matrix)
+    assert abs(pair.eigenvalue - np.linalg.eigvalsh(matrix.entries)[0]) <= 1e-14
 
 
 def test_eigenvalue_matches_inertia_bisection_oracle():
@@ -111,6 +122,7 @@ def test_eigenvalue_matches_inertia_bisection_oracle():
 @pytest.mark.parametrize("n", [3, 9, 32, 100, 257, 1000])
 @pytest.mark.parametrize("label", ["abs", "abs_sin_half", "neg_delta"])
 def test_lanczos_eigenvalue_matches_dense(label, n):
+    # The name predates the LOBPCG solver; it is kept so the 18 test ids stay stable.
     matrix = cost_matrix(canonical_cost(label, n), n)
     assert matrix.bandwidth >= 2
     pair = smallest_eigenpair(matrix)
@@ -131,17 +143,96 @@ def test_optimal_state_memory_is_linear_in_n(label):
     assert peak <= 16 * 2**20
 
 
-def test_lanczos_non_convergence_raises(capsys, monkeypatch):
-    def fail(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence(
-            "no convergence", np.empty(0), np.empty((0, 0))
-        )
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+def test_lobpcg_non_convergence_raises(capsys, monkeypatch):
+    monkeypatch.setattr(solver_module, "_MAX_ITERATIONS", 1)
     with pytest.raises(SolverConvergenceError):
         smallest_eigenpair(cost_matrix(canonical_cost("abs", 10), 10))
     assert cli.main(["state", "--kind", "optimal", "--cost", "abs", "--n", "10"]) == 3
-    assert "converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: LOBPCG did not converge")
+    assert err.count("\n") == 1
+
+
+def sign_fixed(vector):
+    return vector if vector[np.argmax(np.abs(vector))] > 0 else -vector
+
+
+def test_tridiagonal_positive_coupling_gives_alternating_vector(monkeypatch):
+    n = 7
+    column = np.zeros(n + 1)
+    column[:2] = (2.0, 0.75)
+    matrix = CostMatrix(column)
+    pair = smallest_eigenpair(matrix)
+    m = np.arange(n + 1)
+    expected = sign_fixed((-1.0) ** m * exact_sin2_eigenvector(n))
+    np.testing.assert_allclose(pair.eigenvector, expected, rtol=0, atol=1e-15)
+    assert abs(pair.eigenvalue - np.linalg.eigvalsh(matrix.entries)[0]) <= 1e-15
+    # No CostFunction has c1 > 0, so feed the matrix to optimal_state directly.
+    monkeypatch.setattr(solver_module, "cost_matrix", lambda f, n_ions: matrix)
+    with pytest.raises(SignConventionError):
+        optimal_state(SIN2, n)
+
+
+def test_diagonal_matrix_returns_lowest_level():
+    pair = smallest_eigenpair(CostMatrix(np.array([3.0, 0.0, 0.0, 0.0])))
+    assert pair.eigenvalue == 3.0
+    np.testing.assert_array_equal(pair.eigenvector, [1.0, 0.0, 0.0, 0.0])
+
+
+def test_sin2_eigenvalue_large_n_matches_mpmath():
+    n = 10**4
+    pair = smallest_eigenpair(cost_matrix(SIN2, n))
+    with mpmath.workdps(40):
+        exact = 2 - 2 * mpmath.cos(mpmath.pi / (n + 2))
+        assert abs(pair.eigenvalue - exact) <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("n", [6, 40, 120])
+def test_abs_optimum_matches_mpmath_eigenvector(n):
+    matrix = cost_matrix(canonical_cost("abs", n), n)
+    value, vector, residual = smallest_eigenpair_mp(matrix.entries)
+    assert residual <= 1e-30
+    pair = smallest_eigenpair(matrix)
+    assert np.max(np.abs(pair.eigenvector - vector)) <= 1e-14
+    assert abs(pair.eigenvalue - value) <= 1e-14 * value
+    np.testing.assert_array_equal(pair.eigenvector, pair.eigenvector[::-1])
+
+
+def test_mpmath_eigenpair_oracle_agrees_with_eigsy():
+    entries = cost_matrix(canonical_cost("abs", 6), 6).entries
+    value, vector, _ = smallest_eigenpair_mp(entries)
+    with mpmath.workdps(40):
+        values, vectors = mpmath.eigsy(mpmath.matrix(entries.tolist()))
+        index = min(range(len(entries)), key=lambda j: values[j])
+        reference = sign_fixed(np.array([float(vectors[k, index]) for k in range(len(entries))]))
+        assert abs(value - values[index]) <= 1e-16 * abs(values[index])
+    assert np.max(np.abs(vector - reference)) <= 1e-16
+
+
+def test_abs_optimum_large_n_eigenvalue_is_its_rayleigh_quotient():
+    n = 10**4
+    f = canonical_cost("abs", n)
+    matrix = cost_matrix(f, n)
+    pair = smallest_eigenpair(matrix)
+    scale = solver_module._inf_norm(matrix.column)
+    assert pair.residual_norm <= solver_module.RESIDUAL_RTOL * scale
+    reference = rayleigh_quotient_mp(pair.eigenvector, f.w0, f.coefficients)
+    assert abs(pair.eigenvalue - reference) <= 1e-13 * reference
+
+
+@pytest.mark.parametrize("n", [9, 99, 999])
+def test_skew_symmetric_optimum_is_found(n):
+    # Flipping the sign of every odd lag keeps the spectrum and turns the
+    # symmetric optimum v into (-1)^m v, which is skew-symmetric at odd N.
+    matrix = cost_matrix(canonical_cost("abs", n), n)
+    flipped = CostMatrix(matrix.column * (-1.0) ** np.arange(n + 1))
+    pair = smallest_eigenpair(matrix)
+    flipped_pair = smallest_eigenpair(flipped)
+    assert abs(flipped_pair.eigenvalue - pair.eigenvalue) <= 1e-12 * pair.eigenvalue
+    expected = sign_fixed((-1.0) ** np.arange(n + 1) * pair.eigenvector)
+    assert np.max(np.abs(flipped_pair.eigenvector - expected)) <= 1e-12
+    scale = np.linalg.norm(flipped.entries, np.inf)
+    assert flipped_pair.residual_norm <= solver_module.RESIDUAL_RTOL * scale
 
 
 def test_variational_property():
@@ -199,6 +290,15 @@ def test_optimal_state_neg_delta_is_phase_state():
     np.testing.assert_allclose(
         state.amplitudes, phase_state(20).amplitudes, rtol=0, atol=1e-10
     )
+
+
+def test_neg_delta_large_n_eigenvalue_matches_closed_form():
+    # F is the constant -1/(2 pi); its eigenvalue -(N+1)/(2 pi) comes out of
+    # a sum of ~N^2/2 equal terms, which must not lose N eps.
+    n = 10**4
+    pair = smallest_eigenpair(cost_matrix(canonical_cost("neg_delta", n), n))
+    exact = (n + 1) / (2.0 * np.pi)
+    assert abs(pair.eigenvalue + exact) <= 1e-14 * exact
 
 
 def test_solver_deterministic():
