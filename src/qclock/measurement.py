@@ -28,13 +28,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostFunction, _one_minus_autocorrelation, evaluate_cost, mean_cost_bound
+from .cost import CostFunction, _deficit_steps, _sum_of_squares, evaluate_cost, mean_cost_bound
 from .states import ClockState, _check_n_ions
 
 TWO_PI = 2.0 * np.pi
 SINGULARITY_WINDOW = 1e-6
 _BOOLE_START = 64
 _GENOCCHI = (1.0, 1.0, 0.0, -1.0, 0.0, 3.0, 0.0, -17.0, 0.0, 155.0, 0.0, -2073.0)
+_LCM = math.lcm(*(k * k for k in range(1, _BOOLE_START)))
+# sum_{s<=k<64} (-1)^(k-s) / k^2 for s = 1..64, as correctly rounded int / int
+_HEADS = [
+    sum((-1) ** (k - s) * (_LCM // k**2) for k in range(s, _BOOLE_START)) / _LCM
+    for s in range(1, _BOOLE_START + 1)
+]
 
 __all__ = [
     "OutcomeDistribution",
@@ -298,37 +304,37 @@ def circular_rms_error(state: ClockState) -> float:
     with wrap mapping to (-pi, pi]. wrap(T)^2 has cosine coefficients
     4 (-1)^k / k^2 and K stops at frequency N, so Delta_t^2 is exactly
     pi^2/3 + 4 sum_{k=1}^{N} (-1)^k r_k / k^2, r_k = sum_m a_m a_{m+k}.
-    As pi^2/3 + 4 sum_{k>=1} (-1)^k / k^2 = 0, this is evaluated as
+    As pi^2/3 = 4 sum_{k>=1} (-1)^(k+1) / k^2, summing by parts gives
 
-        4 sum_{k=1}^{N} (-1)^{k+1} (1 - r_k) / k^2 + 4 (-1)^N S(N+1),
+        Delta_t^2 = 4 sum_{k=1}^{N+1} (-1)^(k+1) S(k) (r_{k-1} - r_k) / r_0,
 
-    S(x) = sum_{j>=0} (-1)^j / (x+j)^2, with each 1 - r_k a sum of squares
-    and S from its Euler-Boole expansion. The pi^2/3 form cancels down to
-    Delta_t^2 ~ 1/N^2 and loses ~N^2 eps relative for states near optimal.
+    S(x) = sum_{j>=0} (-1)^j / (x+j)^2 (Euler-Boole), steps from
+    ``cost._deficit_steps`` and r_0 = a . a. Near the optimum the terms fall
+    off like 1/k; the pi^2/3 form loses ~N^2 eps relative and a sum over
+    (r_0 - r_k) / k^2 ~sqrt(N) eps.
     """
-    n = state.n_ions
-    lags = np.arange(1, n + 1)
-    terms = _one_minus_autocorrelation(state.amplitudes, lags) / lags**2
+    a = state.amplitudes
+    terms = _deficit_steps(a) * _alternating_inverse_squares(np.arange(1, a.size + 1))
     terms[1::2] *= -1.0
-    total = math.fsum([*terms, (-1) ** n * _alternating_inverse_squares(n + 1)])
-    return float(np.sqrt(4.0 * total))
+    return math.sqrt(4.0 * math.fsum(terms) / _sum_of_squares(a))
 
 
-def _alternating_inverse_squares(start: int) -> float:
-    """S = sum_{k>=start} (-1)^(k-start) / k^2 for start >= 1, to roundoff.
+def _alternating_inverse_squares(start: np.ndarray) -> np.ndarray:
+    """S = sum_{k>=start} (-1)^(k-start) / k^2 for each start >= 1, to roundoff.
 
-    Terms below x = max(start, 64) are summed directly. The rest is
+    Terms below x = max(start, 64) come from ``_HEADS``. The rest is
     sum_{j>=0} (-1)^j f(x+j) = f(x)/(1 + e^D) for f = 1/x^2, whose
     Euler-Boole expansion sum_n G_n / (2 x^(n+2)) has Genocchi-number
     coefficients; the first omitted term is below 1e-15 relative at x = 64.
     """
-    x = max(start, _BOOLE_START)
-    head = [(-1) ** (k - start) / k**2 for k in range(start, x)]
+    start = np.asarray(start)
+    x = np.maximum(start, _BOOLE_START).astype(float)
     series = 0.0
     for coefficient in reversed(_GENOCCHI):
         series = series / x + coefficient
     series *= 0.5 / (x * x)
-    return math.fsum([*head, (-1) ** (x - start) * series])
+    head = np.take(_HEADS, np.minimum(start, _BOOLE_START) - 1)
+    return head + np.where((x - start) % 2, -series, series)
 
 
 def mutual_information_bits(state: ClockState, grid_size: int | None = None) -> float:

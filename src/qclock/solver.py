@@ -19,8 +19,9 @@ all keep the two classes apart. LOBPCG runs in the symmetric class, and
 also in the skew one unless every off-diagonal entry of F is <= 0: then
 Perron-Frobenius puts a minimizer among the symmetric vectors, as for
 every ``CostFunction``. It iterates until the residual stagnates, so the
-vector is exact to roundoff and exactly (skew-)symmetric. The same matvec
-checks the residual contract; the sign convention is fixed last.
+vector is exact to roundoff and exactly (skew-)symmetric. The eigenvalue
+is the cancellation-free ``CostMatrix.quadratic_form``, the matvec checks
+the residual contract, and the sign convention is fixed last.
 """
 
 from __future__ import annotations
@@ -177,46 +178,6 @@ def _lobpcg(matrix: CostMatrix, precondition, parity: float, start: np.ndarray, 
     )
 
 
-def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
-    """Prefix sums of x with the rounding error of each step added back.
-
-    ``np.cumsum`` adds left to right; Knuth's TwoSum recovers the exact
-    error of every addition, and their own prefix sums correct the result,
-    so a long sum of similar terms is not N eps off.
-    """
-    total = np.cumsum(x)
-    before, term, after = total[:-1], x[1:], total[1:]
-    added = after - before
-    errors = (before - (after - added)) + (term - added)
-    total[1:] += np.cumsum(errors)
-    return total
-
-
-def _rayleigh_quotient(column: np.ndarray, x: np.ndarray) -> float:
-    """x^T F x for a unit vector x, without cancellation, in O(N log N).
-
-    With s = c_0 + 2 sum_k c_k, x^T F x = s - 2 sum_k c_k (1 - r_k), and
-    1 - r_k = (1/2) sum_{|l|<k} (k - |l|) rho_l, where rho is the
-    autocorrelation of d = diff([0, x, 0]). Summing over k first gives
-    x^T F x = s - sum_l g_|l| rho_l with g_l = sum_{k>l} (k - l) c_k, the
-    suffix sum of the suffix sums of c. For a smooth x near the bottom of
-    the spectrum every term is small, whereas x . Fx by FFT carries an
-    absolute error ~1e-16 ||F||, which at lambda ~ 1/N is ~1e-16 N
-    relative. An oscillating x is made smooth first by negating its odd
-    entries and the odd lags of F, which leaves x^T F x unchanged.
-    """
-    signs = np.where(np.arange(x.size) % 2, -1.0, 1.0)
-    if np.abs(np.diff(x * signs)).sum() < np.abs(np.diff(x)).sum():
-        column, x = column * signs, x * signs
-    tails = _compensated_cumsum(column[:0:-1])[::-1]  # tails[j] = sum_{k>j} c_k
-    weights = _compensated_cumsum(tails[::-1])[::-1]  # weights[l] = g_l, l = 0..N-1
-    d = np.diff(x, prepend=0.0, append=0.0)
-    size = 1 << (2 * d.size).bit_length()
-    rho = np.fft.irfft(np.abs(np.fft.rfft(d, size)) ** 2, size)[: weights.size]
-    s = math.fsum([*column, *column[1:]])
-    return s - float(weights[0] * rho[0] + 2.0 * (weights[1:] @ rho[1:]))
-
-
 def _solve_smallest(matrix: CostMatrix):
     dim = matrix.dim
     column = matrix.column
@@ -235,7 +196,7 @@ def _solve_smallest(matrix: CostMatrix):
     if np.any(column[1:] > 0.0):
         vectors.append(_lobpcg(matrix, precondition, -1.0, sine * (2 * m + 1 - dim), tolerance))
     # The lower eigenvalue wins; on a tie the symmetric vector, listed first.
-    return min(((_rayleigh_quotient(column, v), v) for v in vectors), key=lambda pair: pair[0])
+    return min(((matrix.quadratic_form(v), v) for v in vectors), key=lambda pair: pair[0])
 
 
 def _inf_norm(column: np.ndarray) -> float:

@@ -92,6 +92,17 @@ def _exact_autocorrelations(amplitudes) -> list[int]:
     return sums
 
 
+def exact_deficits(amplitudes) -> np.ndarray:
+    """r_0 - r_k for k = 1..N, each correctly rounded.
+
+    R_k = 4^s r_k with 4^s = R_0 / r_0, and r_0 = sum_m a_m^2 is exact as a
+    fraction, so r_0 - r_k = (R_0 - R_k) r_0 / R_0 in rational arithmetic.
+    """
+    sums = _exact_autocorrelations(amplitudes)
+    norm_sq = sum(Fraction(float(v)) ** 2 for v in amplitudes)
+    return np.array([float(Fraction(sums[0] - r, sums[0]) * norm_sq) for r in sums[1:]])
+
+
 def rayleigh_quotient_mp(amplitudes, w0: float, coefficients, dps: int = 40) -> float:
     """a^T F a / a^T a for the cost matrix of (w0, w_1..w_K), in mpmath.
 

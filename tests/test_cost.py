@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qclock import (
@@ -17,9 +19,17 @@ from qclock import (
     phase_state,
     product_cost_closed_form,
     product_state,
+    smallest_eigenpair,
+    state_for,
 )
+from qclock.cost import _deficits
 
-from oracles import product_cost_mp, random_clock_amplitudes, rayleigh_quotient_mp
+from oracles import (
+    exact_deficits,
+    product_cost_mp,
+    random_clock_amplitudes,
+    rayleigh_quotient_mp,
+)
 
 SIN2 = canonical_cost("sin2", 1)
 
@@ -134,9 +144,10 @@ def test_mean_cost_bound_equals_quadratic_form():
             f = canonical_cost(label, n)
             matrix = cost_matrix(f, n)
             for state in states:
-                direct = mean_cost_bound(state, f)
-                quad_form = matrix.quadratic_form(state.amplitudes)
-                assert abs(direct - quad_form) <= 1e-12
+                # the FFT product a . Fa shares no code with the deficit form
+                direct = state.amplitudes @ matrix.matvec(state.amplitudes)
+                assert abs(matrix.quadratic_form(state.amplitudes) - direct) <= 1e-12
+                assert abs(mean_cost_bound(state, f) - direct) <= 1e-12
 
 
 def test_matvec_matches_dense_product():
@@ -155,13 +166,56 @@ def test_quadratic_form_dimension_mismatch():
         cost_matrix(SIN2, 3).quadratic_form(np.ones(3))
 
 
-@pytest.mark.parametrize("label,n", [("sin2", 2000), ("sin2", 10**4), ("abs_sin_half", 300)])
+@pytest.mark.parametrize(
+    "label,n", [("sin2", 2000), ("sin2", 10**4), ("abs_sin_half", 300), ("abs", 500)]
+)
 def test_mean_cost_bound_matches_mpmath_rayleigh_quotient(label, n):
     # the optimal sin2 cost is ~pi^2/N^2, where w0 - sum_k w_k r_k cancels
     f = canonical_cost(label, n)
     state = optimal_state(f, n)
     reference = rayleigh_quotient_mp(state.amplitudes, f.w0, f.coefficients)
     assert abs(mean_cost_bound(state, f) - reference) <= 1e-13 * abs(reference)
+
+
+def test_quadratic_form_matches_mpmath_off_the_unit_sphere_and_oscillating():
+    n = 999
+    f = canonical_cost("abs", n)
+    v = optimal_state(f, n).amplitudes
+    # Negating the odd lags turns the optimum into the alternating (-1)^m v,
+    # which quadratic_form has to flip back before it sums the deficits.
+    signs = (-1.0) ** np.arange(n + 1)
+    flipped = CostMatrix(cost_matrix(f, n).column * signs)
+    alternating = smallest_eigenpair(flipped).eigenvector
+    assert alternating[0] * alternating[1] < 0.0
+    cases = [
+        (cost_matrix(f, n), 3.0 * v, f.coefficients),
+        (flipped, alternating, f.coefficients * signs[1:]),
+    ]
+    for matrix, a, coefficients in cases:
+        reference = rayleigh_quotient_mp(a, f.w0, coefficients) * float(a @ a)
+        assert abs(matrix.quadratic_form(a) - reference) <= 1e-13 * abs(reference)
+
+
+@st.composite
+def deficit_amplitudes(draw):
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return random_clock_amplitudes(rng, draw(st.integers(2, 200)))
+    kind = draw(st.sampled_from(["product", "phase", "optimal"]))
+    label = draw(st.sampled_from(["sin2", "abs"]))
+    return state_for(kind, draw(st.integers(1, 256)), label).amplitudes
+
+
+@example(a=state_for("product", 256, "sin2").amplitudes)
+@example(a=state_for("phase", 256, "sin2").amplitudes)
+@example(a=state_for("optimal", 256, "sin2").amplitudes)
+@settings(max_examples=60, deadline=None)
+@given(a=deficit_amplitudes())
+def test_deficits_match_exact_autocorrelations(a):
+    exact = exact_deficits(a)
+    deficits = _deficits(a)
+    assert deficits.shape == exact.shape
+    assert np.all(np.abs(deficits - exact) <= 1e-14 * exact)
 
 
 @pytest.mark.parametrize("n", [1, 2, 20, 100])

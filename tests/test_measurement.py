@@ -1,3 +1,6 @@
+import math
+import time
+
 import mpmath
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from qclock.measurement import _alternating_inverse_squares, _outcome_prob_matri
 from oracles import (
     outcome_probs_direct,
     random_clock_amplitudes,
+    rayleigh_quotient_mp,
     wrapped_rms_series,
     wrapped_rms_series_mp,
 )
@@ -359,6 +363,48 @@ def test_circular_rms_error_optimal_large_n_matches_mpmath(n):
     state = state_for("optimal", n, "sin2")
     exact = wrapped_rms_series_mp(state.amplitudes)
     assert abs(circular_rms_error(state) - exact) <= 1e-13 * exact
+
+
+def test_alternating_inverse_squares_of_an_array_matches_each_start():
+    starts = np.array([1, 2, 3, 62, 63, 64, 65, 1025, 10**4])
+    values = _alternating_inverse_squares(starts)
+    assert values.shape == starts.shape
+    for start, value in zip(starts, values):
+        assert value == _alternating_inverse_squares(int(start))
+
+
+def test_scan_optimal_sin2_n5_delta_t_within_one_ulp():
+    # the n=5 optimal row of the scan golden output
+    state = state_for("optimal", 5, "sin2")
+    exact = wrapped_rms_series_mp(state.amplitudes)
+    assert abs(circular_rms_error(state) - exact) <= math.ulp(exact)
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 64, 256])
+def test_rms_error_and_mean_cost_within_3_ulp_of_mpmath(n):
+    for kind in ("product", "phase", "optimal", "max_spread"):
+        for label in ("sin2", "abs"):
+            f = canonical_cost(label, n)
+            state = state_for(kind, n, label)
+            cost = rayleigh_quotient_mp(state.amplitudes, f.w0, f.coefficients)
+            assert abs(mean_cost_bound(state, f) - cost) <= 3 * math.ulp(cost)
+            delta_t = wrapped_rms_series_mp(state.amplitudes)
+            assert abs(circular_rms_error(state) - delta_t) <= 3 * math.ulp(delta_t)
+
+
+def test_optimal_rms_error_approaches_the_heisenberg_limit_at_n_1e5():
+    # (N+1) Delta_t / pi -> 1 from below with a 1/N correction whose
+    # coefficient settles. A form that loses ~N^2 eps relative, like
+    # pi^2/3 + 4 sum (-1)^k r_k / k^2, would move that coefficient by ~0.1.
+    start = time.perf_counter()
+    ratios = {}
+    for n in (10**3, 10**4, 10**5):
+        ratios[n] = (n + 1) * circular_rms_error(state_for("optimal", n, "sin2")) / np.pi
+    elapsed = time.perf_counter() - start
+    assert ratios[10**3] < ratios[10**4] < ratios[10**5] < 1.0
+    slopes = {n: n * (1.0 - ratios[n]) for n in (10**4, 10**5)}
+    assert abs(slopes[10**4] - slopes[10**5]) <= 2e-4
+    assert elapsed < 1.0
 
 
 def test_phase_state_error_scales_as_inverse_sqrt_n():
