@@ -29,7 +29,15 @@ from .measurement import (
     posterior,
     wrap_angle,
 )
-from .sim import KINDS, SimConfig, run_simulation, scan_n, state_for
+from .sim import (
+    KINDS,
+    _STATE_KINDS,
+    SimConfig,
+    _check_kind,
+    run_simulation,
+    scan_n,
+    state_for,
+)
 from .solver import SignConventionError, SolverConvergenceError
 from .states import energy_stats
 
@@ -95,8 +103,8 @@ def _write_gnuplot(path: str, title: str, plot_line: str) -> None:
 
 
 def _require_cost(args) -> None:
-    if args.kind == "optimal" and args.cost is None:
-        raise UsageError("--cost is required when --kind is 'optimal'")
+    if _STATE_KINDS[args.kind].needs_cost and args.cost is None:
+        raise UsageError(f"--cost is required when --kind is {args.kind!r}")
 
 
 def cmd_state(args) -> int:
@@ -104,7 +112,7 @@ def cmd_state(args) -> int:
     cost_label = args.cost or "sin2"
     state = state_for(args.kind, args.n, cost_label)
     stats = energy_stats(state)
-    cost_fn = canonical_cost(cost_label, max(1, args.n))
+    cost_fn = canonical_cost(cost_label, args.n)
     amplitudes = state.amplitudes.tolist()
     payload = {
         "amplitudes": amplitudes,
@@ -170,9 +178,11 @@ def _parse_range(text: str) -> list[int]:
 
 def cmd_scan(args) -> int:
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    for kind in kinds:
-        if kind not in KINDS:
-            raise UsageError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    try:
+        for kind in kinds:
+            _check_kind(kind)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if not kinds:
         raise UsageError("--kinds must name at least one state kind")
     n_values = _parse_range(args.n)
@@ -296,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_info = sub.add_parser("mutinfo", help="mutual information summary")
     p_info.add_argument(
-        "--kind", choices=KINDS + ("basis",), required=True,
+        "--kind", choices=tuple(_STATE_KINDS), required=True,
         help="state kind; 'basis' is a zero-information diagnostic",
     )
     p_info.add_argument("--n", type=_positive_int, required=True)

@@ -1,4 +1,11 @@
-"""Seeded Monte Carlo clock runs and analytic scans over the ion count.
+"""State kinds, seeded Monte Carlo clock runs and analytic scans over N.
+
+One private table, ``_STATE_KINDS``, holds every fact about the named
+state kinds: how to build each one, whether it needs a cost label, and
+whether it is a diagnostic that only ``state_for`` (and the CLI's
+``mutinfo``) offers. ``KINDS``, ``state_for``, ``SimConfig``, ``scan_n``
+and the CLI's choices all read it, and ``_check_kind`` is the one check
+of a kind name.
 
 The simulator draws true times uniformly, samples outcomes from the exact
 Born-rule distribution by inverse CDF, and aggregates empirical cost and
@@ -20,6 +27,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,9 +39,15 @@ from .measurement import (
     _outcome_prob_matrix,
 )
 from .solver import SolverConvergenceError, optimal_state
-from .states import ClockState, max_energy_spread_state, phase_state, product_state
+from .states import (
+    ClockState,
+    _check_n_ions,
+    _is_integer,
+    max_energy_spread_state,
+    phase_state,
+    product_state,
+)
 
-KINDS = ("product", "phase", "optimal", "max_spread")
 DEFAULT_HISTOGRAM_BINS = 101
 PHASE_MATCH_TOL = 1e-9
 # Outcome probabilities per sampler block; bounds each worker's memory.
@@ -50,6 +64,42 @@ __all__ = [
 ]
 
 
+class _Kind(NamedTuple):
+    """How to build one state kind from (N, cost label), and who may ask for it."""
+
+    build: Callable[[int, str | None], ClockState]
+    needs_cost: bool = False
+    diagnostic: bool = False
+
+
+def _basis_state(n_ions: int, cost_label: str | None) -> ClockState:
+    amplitudes = np.zeros(n_ions + 1)
+    amplitudes[n_ions // 2] = 1.0
+    return ClockState(n_ions, amplitudes)
+
+
+# The builders name their functions at call time, as module globals, so a
+# monkeypatched or traced ``optimal_state`` is the one that runs.
+_STATE_KINDS = {
+    "product": _Kind(lambda n, cost: product_state(n)),
+    "phase": _Kind(lambda n, cost: phase_state(n)),
+    "optimal": _Kind(
+        lambda n, cost: optimal_state(canonical_cost(cost, n), n), needs_cost=True
+    ),
+    "max_spread": _Kind(lambda n, cost: max_energy_spread_state(n)),
+    "basis": _Kind(_basis_state, diagnostic=True),
+}
+KINDS = tuple(kind for kind, entry in _STATE_KINDS.items() if not entry.diagnostic)
+
+
+def _check_kind(kind: str, diagnostic: bool = False) -> _Kind:
+    """Table entry of ``kind``; diagnostic kinds only when ``diagnostic`` is set."""
+    allowed = tuple(_STATE_KINDS) if diagnostic else KINDS
+    if kind not in allowed:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {allowed}")
+    return _STATE_KINDS[kind]
+
+
 def state_for(kind: str, n_ions: int, cost_label: str | None = None) -> ClockState:
     """Build a clock state by kind name.
 
@@ -57,21 +107,11 @@ def state_for(kind: str, n_ions: int, cost_label: str | None = None) -> ClockSta
     on the middle energy level) is a diagnostic: it carries no time
     information at all.
     """
-    if kind == "product":
-        return product_state(n_ions)
-    if kind == "phase":
-        return phase_state(n_ions)
-    if kind == "max_spread":
-        return max_energy_spread_state(n_ions)
-    if kind == "optimal":
-        if cost_label is None:
-            raise ValueError("state kind 'optimal' requires a cost label")
-        return optimal_state(canonical_cost(cost_label, max(1, n_ions)), n_ions)
-    if kind == "basis":
-        amplitudes = np.zeros(n_ions + 1)
-        amplitudes[n_ions // 2] = 1.0
-        return ClockState(n_ions, amplitudes)
-    raise ValueError(f"unknown state kind {kind!r}; expected one of {KINDS}")
+    entry = _check_kind(kind, diagnostic=True)
+    if entry.needs_cost and cost_label is None:
+        raise ValueError(f"state kind {kind!r} requires a cost label")
+    _check_n_ions(n_ions)
+    return entry.build(n_ions, cost_label)
 
 
 @dataclass(frozen=True)
@@ -85,16 +125,14 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.state_kind not in KINDS:
-            raise ValueError(f"state_kind must be one of {KINDS}, got {self.state_kind!r}")
-        if self.n_ions < 1:
-            raise ValueError(f"n_ions must be >= 1, got {self.n_ions}")
+        _check_kind(self.state_kind)
+        _check_n_ions(self.n_ions)
         if self.cost_label not in CANONICAL_LABELS:
             raise ValueError(f"cost_label must be one of {CANONICAL_LABELS}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        if not _is_integer(self.samples) or self.samples < 1:
+            raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
+        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,16 +181,16 @@ def _sample_outcomes(
     return outcomes
 
 
-def run_simulation(config: SimConfig, bins: int = DEFAULT_HISTOGRAM_BINS) -> SimResult:
+def run_simulation(config: SimConfig) -> SimResult:
     """Simulate clock runs and aggregate the empirical statistics.
 
     Per sample: draw t uniformly on [0, 2*pi), draw the outcome by inverse
     CDF in ascending outcome order, then record the cost f(t_j - t) and the
-    wrapped error t_j - t. The default 101 bins are odd so one bin straddles
+    wrapped error t_j - t. The 101 histogram bins are odd so one bin straddles
     zero error; the histogram mass always equals the sample count.
     """
     state = state_for(config.state_kind, config.n_ions, config.cost_label)
-    cost_fn = canonical_cost(config.cost_label, max(1, config.n_ions))
+    cost_fn = canonical_cost(config.cost_label, config.n_ions)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     draws = rng.random((config.samples, 2))
     true_times = 2.0 * np.pi * draws[:, 0]
@@ -162,7 +200,6 @@ def run_simulation(config: SimConfig, bins: int = DEFAULT_HISTOGRAM_BINS) -> Sim
 
     errors = wrap_angle(estimates - true_times)
     costs = evaluate_cost(cost_fn, estimates - true_times)
-    costs = np.atleast_1d(costs)
 
     mean_cost = float(costs.mean())
     delta_t = float(np.sqrt(np.mean(errors**2)))
@@ -171,7 +208,7 @@ def run_simulation(config: SimConfig, bins: int = DEFAULT_HISTOGRAM_BINS) -> Sim
     else:
         standard_error = 0.0
 
-    counts, edges = np.histogram(errors, bins=bins, range=(-np.pi, np.pi))
+    counts, edges = np.histogram(errors, bins=DEFAULT_HISTOGRAM_BINS, range=(-np.pi, np.pi))
     if int(counts.sum()) != config.samples:
         raise RuntimeError("histogram lost samples; wrapped errors out of range")
     return SimResult(mean_cost, delta_t, standard_error, counts, edges)
@@ -205,17 +242,14 @@ def scan_n(kinds, cost_label: str, n_values) -> list[ScanRow]:
     if not kinds:
         raise ValueError("kinds must be nonempty")
     for kind in kinds:
-        if kind not in KINDS:
-            raise ValueError(f"unknown state kind {kind!r}; expected one of {KINDS}")
+        _check_kind(kind)
     for n in n_values:
-        if n < 1:
-            raise ValueError(f"every N must be >= 1, got {n}")
-    if cost_label not in CANONICAL_LABELS:
-        raise ValueError(f"cost_label must be one of {CANONICAL_LABELS}")
+        _check_n_ions(n)
 
     rows: list[ScanRow] = []
     for n in n_values:
-        cost_fn = canonical_cost(cost_label, max(1, n))
+        # raises on an unknown cost label before any state is built
+        cost_fn = canonical_cost(cost_label, n)
         uniform = 1.0 / np.sqrt(n + 1)
         for kind in kinds:
             try:

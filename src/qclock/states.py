@@ -40,8 +40,7 @@ class ClockState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n_ions < 1:
-            raise ValueError(f"n_ions must be a positive integer, got {self.n_ions}")
+        _check_n_ions(self.n_ions)
         amps = np.array(self.amplitudes, dtype=float)
         if amps.ndim != 1 or amps.size != self.n_ions + 1:
             raise ValueError(
@@ -73,8 +72,14 @@ class EnergyStats:
     resolution_bound: float
 
 
+def _is_integer(value) -> bool:
+    """A Python or NumPy integer; ``bool`` is not one, as NumPy shapes reject it."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_n_ions(n_ions: int) -> None:
-    if not isinstance(n_ions, (int, np.integer)) or n_ions < 1:
+    """The one check of an ion count: an integer N >= 1."""
+    if not _is_integer(n_ions) or n_ions < 1:
         raise ValueError(f"n_ions must be a positive integer, got {n_ions!r}")
 
 

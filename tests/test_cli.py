@@ -387,3 +387,45 @@ def test_cli_loads_no_scipy_module(statement):
 
 def test_missing_subcommand_exits_2(capsys):
     assert cli.main([]) == 2
+
+
+def _kind_argv(command, kind, cost):
+    argv = [command, "--kinds" if command == "scan" else "--kind", kind,
+            "--n", "2:3" if command == "scan" else "3"]
+    if command == "simulate":
+        argv += ["--samples", "10"]
+    return argv + (["--cost", cost] if cost else [])
+
+
+# Library entry points that take a state kind, called with N=3 and sin2.
+KIND_LIBRARY_CALLS = {
+    "state_for": lambda kind: sim_module.state_for(kind, 3, "sin2"),
+    "SimConfig": lambda kind: sim_module.SimConfig(kind, 3, "sin2", 10, 0),
+    "scan_n": lambda kind: sim_module.scan_n([kind], "sin2", [3]),
+}
+
+
+@pytest.mark.parametrize(
+    "entry", ["state", "posterior", "simulate", "scan", "mutinfo", *KIND_LIBRARY_CALLS]
+)
+@pytest.mark.parametrize("kind", sim_module.KINDS + ("basis",))
+def test_every_entry_point_accepts_the_same_kinds(capsys, entry, kind):
+    # the diagnostic 'basis' kind is offered only by mutinfo and state_for
+    accepted = kind in sim_module.KINDS or entry in ("mutinfo", "state_for")
+    if entry in KIND_LIBRARY_CALLS:
+        if accepted:
+            KIND_LIBRARY_CALLS[entry](kind)
+        else:
+            with pytest.raises(ValueError):
+                KIND_LIBRARY_CALLS[entry](kind)
+        return
+    code, out, err = run_cli(capsys, _kind_argv(entry, kind, "sin2"))
+    if accepted:
+        assert (code, err) == (0, "") and out
+    else:
+        assert (code, out) == (2, "")
+        assert f"'{kind}'" in err
+    if kind == "optimal" and entry in ("state", "posterior", "mutinfo"):
+        code, out, err = run_cli(capsys, _kind_argv(entry, kind, None))
+        assert (code, out) == (2, "")
+        assert "--cost" in err

@@ -33,6 +33,16 @@ def test_config_validation():
         SimConfig("phase", 20, "sin2", 10, -1)  # seed
     with pytest.raises(ValueError):
         SimConfig("phase", 20, "sin2", 10, 2**64)  # seed
+    with pytest.raises(ValueError):
+        SimConfig("phase", 5, "sin2", 1000, 1.5)  # non-integral seed
+    with pytest.raises(ValueError):
+        SimConfig("phase", 5, "sin2", 10.5, 0)  # non-integral samples
+    with pytest.raises(ValueError):
+        SimConfig("phase", 5, "sin2", True, 0)  # bool samples
+    with pytest.raises(ValueError):
+        SimConfig("phase", 5.0, "sin2", 10, 0)  # float n_ions
+    # Python and NumPy integers are both accepted
+    SimConfig("phase", np.int64(5), "sin2", np.int32(10), np.uint64(2**64 - 1))
 
 
 def test_state_for_validation():

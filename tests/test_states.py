@@ -113,6 +113,8 @@ def test_invalid_states_rejected():
     with pytest.raises(ValueError):
         ClockState(2, np.array([1.0, 0.0]))  # wrong length
     with pytest.raises(ValueError):
+        ClockState(2.0, np.array([0.0, 1.0, 0.0]))  # float n_ions
+    with pytest.raises(ValueError):
         ClockState(1, np.array([1.0, -0.1]))  # negative amplitude
     with pytest.raises(ValueError):
         ClockState(1, np.array([1.0, 1.0]))  # unnormalized
