@@ -244,16 +244,23 @@ def cmd_mutinfo(args) -> int:
     return 0
 
 
+def _integer(text: str) -> int | None:
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
+    value = _integer(text)
+    if value is None or value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
 
 
 def _seed_int(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
+    value = _integer(text)
+    if value is None or not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
     return value
 

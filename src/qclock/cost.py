@@ -224,13 +224,18 @@ def canonical_cost(label: str, order: int) -> CostFunction:
 def evaluate_cost(f: CostFunction, t):
     """Truncated series value w0 - sum_k w_k cos(k t); even and 2*pi-periodic.
 
-    Accepts scalars or arrays and broadcasts elementwise.
+    Accepts scalars or arrays and broadcasts elementwise. Each term is
+    written into one reused buffer, so memory stays at two arrays.
     """
     arr = np.asarray(t, dtype=float)
     value = np.full(arr.shape, f.w0)
+    term = np.empty_like(value)
     for k, wk in enumerate(f.coefficients, start=1):
         if wk != 0.0:
-            value -= wk * np.cos(k * arr)
+            np.multiply(k, arr, out=term)
+            np.cos(term, out=term)
+            term *= wk
+            value -= term
     if value.ndim == 0:
         return float(value)
     return value

@@ -15,10 +15,10 @@ does not cancel at large N. The posterior, the mutual information and the
 direct mean cost sample K on a uniform grid over [0, 2*pi) by one
 zero-padded FFT and use the periodic trapezoid rule, exact for
 trigonometric polynomials of degree below the node count. Outcome
-distributions at arbitrary times (also the sampler's, block by block) come
-from one kernel that builds the phases exp(-i m t) by angle addition,
-2 sqrt(N+1) complex exponentials per time instead of N+1, followed by an
-(N+1)-point inverse FFT.
+distributions at arbitrary times come from one kernel that builds the
+phases exp(-i m t) by angle addition, 2 sqrt(N+1) complex exponentials per
+time instead of N+1, followed by an (N+1)-point inverse FFT. The sampler
+calls it once per run, at its 22 Chebyshev offsets, for its CDF table.
 """
 
 from __future__ import annotations

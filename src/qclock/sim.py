@@ -14,11 +14,19 @@ keyed by the configured seed: sample i consumes row i of a (samples, 2)
 uniform block laid out in fixed counter order, so results are bitwise
 reproducible.
 
-Outcomes are drawn in blocks of max(1, 2**18 // (N+1)) samples on a thread
-pool of min(os.cpu_count(), blocks) workers; each block writes only its
-slice of one per-sample outcome array, so the results do not depend on the
-block size or the worker count. Memory is O(samples + workers * block)
-rather than O(samples * (N+1)). Costs, wrapped errors and every aggregate
+The outcome of a sample (t, u) is #{j : cdf_j(t) < u}, capped at N, for the
+ascending CDF of P(t_j | t). Covariance makes every such CDF a cyclic shift
+of one at an offset delta in [0, 2*pi/(N+1)), so one table of the CDF at
+22 Chebyshev offsets, built once per run from the outcome kernel, serves
+every sample: a sample costs O(log N) interpolations of 22 terms, not an
+(N+1)-entry Born row. The outcomes equal those of the row ``cumsum`` except
+where u lies within roundoff (~1e-13) of a CDF step.
+
+Outcomes are drawn in blocks of 2**16 // 22 samples on a thread pool of
+min(os.cpu_count(), blocks) workers; each block writes only its slice of
+one per-sample outcome array, so the results do not depend on the block
+size or the worker count. Memory is O(samples + N + workers * block); no
+per-sample array grows with N. Costs, wrapped errors and every aggregate
 are computed in the calling thread over the whole per-sample arrays.
 """
 
@@ -33,6 +41,7 @@ import numpy as np
 
 from .cost import CANONICAL_LABELS, canonical_cost, evaluate_cost
 from .measurement import (
+    TWO_PI,
     estimation_report,
     measurement_times,
     wrap_angle,
@@ -50,8 +59,17 @@ from .states import (
 
 DEFAULT_HISTOGRAM_BINS = 101
 PHASE_MATCH_TOL = 1e-9
-# Outcome probabilities per sampler block; bounds each worker's memory.
-_BLOCK_ENTRIES = 2**18
+# Interpolation weights per sampler block; bounds each worker's memory.
+_BLOCK_ENTRIES = 2**16
+# Chebyshev nodes per outcome spacing h = 2*pi/(N+1). Each CDF piece Q_k is a
+# trigonometric polynomial of degree <= N in delta in [0, h]; mapped to
+# [-1, 1] its top frequency is N*pi/(N+1) < pi, so interpolation in d
+# second-kind Chebyshev points errs by <~ pi^d / (2^(d-1) d!), 4e-17 at
+# d = 22, for every N.
+_NODE_COUNT = 22
+_NODES = np.cos(np.pi * np.arange(_NODE_COUNT) / (_NODE_COUNT - 1))
+_BARYCENTRIC = np.where(np.arange(_NODE_COUNT) % 2, -1.0, 1.0)
+_BARYCENTRIC[[0, -1]] *= 0.5
 
 __all__ = [
     "KINDS",
@@ -154,24 +172,69 @@ class SimResult:
         object.__setattr__(self, "bin_edges", edges)
 
 
+def _cdf_table(amplitudes: np.ndarray) -> np.ndarray:
+    """Outcome CDF at the Chebyshev nodes of one outcome spacing, two periods.
+
+    Row k < N+1 holds Q_k(delta) = sum_{i<=k} P(t_i | delta) at the nodes
+    delta in [0, 2*pi/(N+1)], the ``cumsum`` of ``_NODE_COUNT`` rows of
+    ``_outcome_prob_matrix``; row N+1+k holds Q_N + Q_k, so that every
+    ascending CDF of a true time is a contiguous run of N+1 rows.
+    """
+    offsets = (np.pi / amplitudes.size) * (1.0 + _NODES)
+    cdf = np.cumsum(_outcome_prob_matrix(amplitudes, offsets), axis=1).T
+    return np.concatenate([cdf, cdf[-1] + cdf])
+
+
+def _barycentric_weights(x: np.ndarray) -> np.ndarray:
+    """w with p(x) = w . p(_NODES) for every polynomial p of degree < d.
+
+    The second barycentric formula, stable at Chebyshev points; an x that
+    lands on a node gets that node's unit vector.
+    """
+    gaps = np.subtract.outer(x, _NODES)
+    weights = np.empty_like(gaps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(_BARYCENTRIC, gaps, out=weights)
+        total = np.einsum("ij->i", weights)
+        weights /= total[:, None]
+    on_node = np.isinf(total)
+    weights[on_node] = gaps[on_node] == 0.0
+    return weights
+
+
 def _sample_outcomes(
     amplitudes: np.ndarray, true_times: np.ndarray, uniforms: np.ndarray
 ) -> np.ndarray:
     """Inverse-CDF outcome of each sample, computed in blocks on a thread pool.
 
-    Each block counts u > cumsum(P(t_j | t)) in ascending outcome order and
-    writes only its own slice of the result, so the outcomes do not depend
-    on the block size or the worker count.
+    With t = s h + delta, h = 2*pi/(N+1), covariance shifts the CDF at t to
+    the one at delta: cdf_j(t) = R_{N-s+1+j}(delta) - R_{N-s}(delta) for the
+    rows R of ``_cdf_table``. A sample interpolates those rows at delta with
+    d barycentric weights and bisects for #{j : cdf_j(t) < u}, capped at N,
+    in ceil(log2(N+2)) table gathers. Each block writes only its own slice
+    of the result, so the outcomes do not depend on the block size or the
+    worker count.
     """
     n_ions = amplitudes.size - 1
-    rows = max(1, _BLOCK_ENTRIES // amplitudes.size)
+    table = _cdf_table(amplitudes)
+    spacing = TWO_PI / amplitudes.size
+    steps = [1 << k for k in reversed(range(amplitudes.size.bit_length()))]
+    rows = max(1, _BLOCK_ENTRIES // _NODE_COUNT)
     outcomes = np.empty(true_times.size, dtype=np.intp)
 
     def fill(lo: int) -> None:
         hi = lo + rows
-        cumulative = np.cumsum(_outcome_prob_matrix(amplitudes, true_times[lo:hi]), axis=1)
-        counts = np.count_nonzero(uniforms[lo:hi, None] > cumulative, axis=1)
-        outcomes[lo:hi] = np.minimum(counts, n_ions)
+        scaled = true_times[lo:hi] / spacing
+        # t/h can round up to N+1; clipped, delta = h is the end node x = 1.
+        shift = np.minimum(np.floor(scaled), n_ions)
+        weights = _barycentric_weights(2.0 * (scaled - shift) - 1.0)
+        base = n_ions - shift.astype(np.intp)
+        target = uniforms[lo:hi] + np.einsum("ij,ij->i", table[base], weights)
+        count = np.zeros(base.size, dtype=np.intp)
+        for step in steps:
+            row = base + np.minimum(count + step, amplitudes.size)
+            count += step * (np.einsum("ij,ij->i", table[row], weights) < target)
+        outcomes[lo:hi] = np.minimum(count, n_ions)
 
     starts = range(0, true_times.size, rows)
     workers = min(os.cpu_count() or 1, len(starts))

@@ -101,6 +101,22 @@ def test_invalid_n_exits_2(capsys):
     assert code == 2
 
 
+def test_non_integer_n_names_the_rule_not_the_parser(capsys):
+    code, _, err = run_cli(capsys, ["state", "--kind", "phase", "--n", "2.0"])
+    assert code == 2
+    assert "argument --n: must be a positive integer, got 2.0" in err
+    assert "_positive_int" not in err
+
+
+def test_non_integer_seed_names_the_rule_not_the_parser(capsys):
+    argv = ["simulate", "--kind", "phase", "--n", "4", "--cost", "sin2",
+            "--samples", "10", "--seed", "x"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "argument --seed: seed must fit in 64 unsigned bits" in err
+    assert "_seed_int" not in err
+
+
 def test_posterior_peak_and_zero(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,10 +1,12 @@
 import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qclock import (
+    KINDS,
     SimConfig,
     canonical_cost,
     cost_matrix,
@@ -15,6 +17,7 @@ from qclock import (
     smallest_eigenpair,
     state_for,
 )
+from qclock.measurement import _outcome_prob_matrix, measurement_times
 from qclock.sim import DEFAULT_HISTOGRAM_BINS
 from qclock.solver import SolverConvergenceError
 import qclock.sim as sim_module
@@ -199,6 +202,87 @@ def test_simulation_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 2**20
+
+
+def _row_cdfs(amplitudes, times):
+    """Ascending CDF of each time's full Born row, in bounded chunks."""
+    return np.concatenate(
+        [np.cumsum(_outcome_prob_matrix(amplitudes, times[lo : lo + 256]), axis=1)
+         for lo in range(0, times.size, 256)]
+    )
+
+
+def _reference_outcomes(amplitudes, times, uniforms):
+    """#{j : u > cumsum(P(t_j | t))_j}, capped at N: the Born-row sampler."""
+    counts = np.count_nonzero(uniforms[:, None] > _row_cdfs(amplitudes, times), axis=1)
+    return np.minimum(counts, amplitudes.size - 1)
+
+
+@pytest.mark.parametrize("n_ions", [1, 2, 7, 40, 301, 1000])
+@pytest.mark.parametrize("cost", ["sin2", "abs"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_sampler_matches_born_row_inverse_cdf(kind, cost, n_ions):
+    amplitudes = state_for(kind, n_ions, cost).amplitudes
+    rng = np.random.default_rng([n_ions, KINDS.index(kind), len(cost)])
+    times = 2.0 * np.pi * rng.random(3000)
+    uniforms = rng.random(3000)
+    observed = sim_module._sample_outcomes(amplitudes, times, uniforms)
+    assert observed.tolist() == _reference_outcomes(amplitudes, times, uniforms).tolist()
+
+
+@pytest.mark.parametrize("n_ions", [1, 40, 301, 2000])
+@pytest.mark.parametrize("kind", ["max_spread", "optimal"])
+def test_interpolated_cdf_matches_born_row_cumsum(kind, n_ions):
+    # cdf_j(t) = R_{N-s+1+j}(delta) - R_{N-s}(delta), t = s h + delta, for
+    # the rows R of the Chebyshev table interpolated at delta.
+    amplitudes = state_for(kind, n_ions, "sin2").amplitudes
+    dim = n_ions + 1
+    times = 2.0 * np.pi * np.random.default_rng(n_ions).random(200)
+    spacings = times / (2.0 * np.pi / dim)
+    shift = np.minimum(np.floor(spacings), n_ions)
+    weights = sim_module._barycentric_weights(2.0 * (spacings - shift) - 1.0)
+    values = sim_module._cdf_table(amplitudes) @ weights.T
+    base = n_ions - shift.astype(int)
+    interpolated = np.array(
+        [values[b + 1 : b + 1 + dim, r] - values[b, r] for r, b in enumerate(base)]
+    )
+    assert np.max(np.abs(interpolated - _row_cdfs(amplitudes, times))) <= 1e-12
+
+
+def test_barycentric_weights_on_a_node_are_its_unit_vector():
+    weights = sim_module._barycentric_weights(np.array([-1.0, 1.0, 0.3]))
+    assert weights[0].tolist() == np.eye(weights.shape[1])[-1].tolist()
+    assert weights[1].tolist() == np.eye(weights.shape[1])[0].tolist()
+    assert np.isfinite(weights).all()
+    assert weights[2].sum() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n_ions", [1, 2, 7, 64, 300])
+@pytest.mark.parametrize("kind", ["phase", "max_spread", "optimal"])
+def test_sampler_edge_times(kind, n_ions):
+    # Times on the outcome grid (delta = 0) and just below 2*pi, where t/h
+    # rounds up to N+1 at N = 2 and 64.
+    amplitudes = state_for(kind, n_ions, "abs").amplitudes
+    grid = np.arange(n_ions + 1) * (2.0 * np.pi / (n_ions + 1))
+    edges = np.concatenate(
+        [measurement_times(n_ions), grid, [np.nextafter(2.0 * np.pi, 0.0), 0.0]]
+    )
+    times = np.repeat(edges, 20)
+    uniforms = np.random.default_rng(n_ions).random(times.size)
+    observed = sim_module._sample_outcomes(amplitudes, times, uniforms)
+    assert observed.tolist() == _reference_outcomes(amplitudes, times, uniforms).tolist()
+
+
+def test_sampler_reaches_the_asymptotic_cost_at_n_1e5():
+    # The Born-row sampler, O(N log N) per sample, took ~110 s on 2 vCPUs.
+    n_ions = 10**5
+    start = time.perf_counter()
+    result = run_simulation(SimConfig("optimal", n_ions, "sin2", 10**4, 17))
+    elapsed = time.perf_counter() - start
+    target = 2.0 - 2.0 * np.cos(np.pi / (n_ions + 2))
+    assert abs(result.empirical_mean_cost - target) <= 5.0 * result.standard_error_cost
+    assert elapsed <= 5.0
+
 
 def test_phase_state_monte_carlo_matches_analytic_cost():
     result = run_simulation(SimConfig("phase", 20, "sin2", 10**5, 42))
