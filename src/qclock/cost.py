@@ -65,7 +65,8 @@ class CostMatrix:
 
     Only the first column (w0, -w_1/2, ..., -w_N/2), the symbol of F, is
     stored; ``dim`` and ``bandwidth`` follow from it, and ``matvec``
-    applies F in O(N log N) time and O(N) memory without forming it.
+    applies F without forming it, in O(N) memory and O(N log N) time
+    (O(N) when F is tridiagonal).
     """
 
     column: np.ndarray
@@ -115,8 +116,18 @@ class CostMatrix:
         return x
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """F x for a vector of matching dimension, by circulant embedding."""
+        """F x for a vector of matching dimension.
+
+        O(N) from the two diagonals when the bandwidth is at most 1, else by
+        circulant embedding in O(N log N).
+        """
         x = self._vector(x)
+        if self.bandwidth <= 1:
+            out = self.column[0] * x
+            if self.bandwidth:
+                out[1:] += self.column[1] * x[:-1]
+                out[:-1] += self.column[1] * x[1:]
+            return out
         spectrum = self._circulant_spectrum
         size = 2 * (spectrum.size - 1)
         return np.fft.irfft(spectrum * np.fft.rfft(x, size), size)[: self.dim]

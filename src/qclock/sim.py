@@ -20,18 +20,24 @@ of one at an offset delta in [0, 2*pi/(N+1)), so one table of the CDF at
 22 Chebyshev offsets, built once per run from the outcome kernel, serves
 every sample: a sample costs O(log N) interpolations of 22 terms, not an
 (N+1)-entry Born row. The outcomes equal those of the row ``cumsum`` except
-where u lies within roundoff (~1e-13) of a CDF step.
+where u lies within roundoff (~1e-13) of a CDF step. The cost of the error
+t_j - t is likewise a trigonometric polynomial of degree <= N in delta, so
+a second table, of the cost at the same offsets for each of the N+1 lattice
+errors, gives it with the same 22 interpolation weights instead of a K-term
+cosine series per sample.
 
-Outcomes are drawn in blocks of 2**16 // 22 samples on a thread pool of
-min(os.cpu_count(), blocks) workers; each block writes only its slice of
-one per-sample outcome array, so the results do not depend on the block
-size or the worker count. Memory is O(samples + N + workers * block); no
-per-sample array grows with N. Costs, wrapped errors and every aggregate
-are computed in the calling thread over the whole per-sample arrays.
+Outcomes and costs are drawn in blocks of 2**16 // 22 samples on a thread
+pool of min(os.cpu_count(), blocks) workers; each block writes only its
+slices of the per-sample outcome and cost arrays, so the results do not
+depend on the block size or the worker count. Memory is
+O(samples + N + workers * block); no per-sample array grows with N. Wrapped
+errors and every aggregate are computed in the calling thread over the
+whole per-sample arrays.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,7 +45,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cost import CANONICAL_LABELS, canonical_cost, evaluate_cost
+from .cost import CANONICAL_LABELS, CostFunction, _compensated_cumsum, canonical_cost
 from .measurement import (
     TWO_PI,
     estimation_report,
@@ -202,25 +208,67 @@ def _barycentric_weights(x: np.ndarray) -> np.ndarray:
     return weights
 
 
+def _cost_table(cost_fn: CostFunction, dim: int) -> np.ndarray:
+    """Cost f(m h - delta) for m = 0..N (rows) at the Chebyshev offsets delta.
+
+    Every cosine sum sum_k c_k cos(k (m h - delta)) over the nodes delta in
+    [0, h], h = 2*pi/(N+1), is Re FFT_m(c_k e^{i k delta}): one (N+1)-point
+    FFT per node, exact for K <= N since no frequency aliases. f is summed
+    in two forms and each entry keeps the one with the smaller error bound:
+    w0 - sum_k w_k cos(k x), ~eps W off for W = sum_k w_k, and
+    (w0 - W) + (1 - cos x) E(x), ~eps (1 - cos x) E(0) off, where
+    E(x) = sum_k w_k (1 - cos k x) / (1 - cos x) = e_0 + 2 sum_k e_k cos(k x)
+    with e_k = sum_{j>k} (j - k) w_j >= 0 and E(0) = sum_k k^2 w_k. Near
+    x = 0 the second does not cancel; the first loses ~eps W / f there,
+    1e-8 relative for the sin2 cost at N = 300.
+    """
+    w = cost_fn.coefficients
+    offsets = (np.pi / dim) * (1.0 + _NODES)
+    phases = np.exp(1j * np.outer(offsets, np.arange(w.size + 1)))
+
+    def cosine_sums(c: np.ndarray) -> np.ndarray:
+        series = np.zeros((_NODE_COUNT, dim), dtype=complex)
+        series[:, : c.size] = c * phases[:, : c.size]
+        return np.fft.fft(series, axis=1).real
+
+    direct = cost_fn.w0 - cosine_sums(np.concatenate(([0.0], w)))
+    # e_{k-1} - e_k = sum_{j>=k} w_j: two compensated suffix sums
+    e = _compensated_cumsum(_compensated_cumsum(w[::-1]))[::-1]
+    e[1:] *= 2.0
+    m = np.arange(dim)
+    x = np.where(2 * m > dim, m - dim, m) * (TWO_PI / dim) - offsets[:, None]
+    versine = 2.0 * np.sin(0.5 * x) ** 2
+    near = math.fsum([cost_fn.w0, *-w]) + versine * cosine_sums(e)
+    curvature = float(np.arange(1.0, w.size + 1.0) ** 2 @ w)
+    return np.ascontiguousarray(np.where(versine * curvature < w.sum(), near, direct).T)
+
+
 def _sample_outcomes(
-    amplitudes: np.ndarray, true_times: np.ndarray, uniforms: np.ndarray
-) -> np.ndarray:
-    """Inverse-CDF outcome of each sample, computed in blocks on a thread pool.
+    amplitudes: np.ndarray,
+    true_times: np.ndarray,
+    uniforms: np.ndarray,
+    cost_fn: CostFunction,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF outcome of each sample and its cost, in blocks on a thread pool.
 
     With t = s h + delta, h = 2*pi/(N+1), covariance shifts the CDF at t to
     the one at delta: cdf_j(t) = R_{N-s+1+j}(delta) - R_{N-s}(delta) for the
     rows R of ``_cdf_table``. A sample interpolates those rows at delta with
     d barycentric weights and bisects for #{j : cdf_j(t) < u}, capped at N,
-    in ceil(log2(N+2)) table gathers. Each block writes only its own slice
-    of the result, so the outcomes do not depend on the block size or the
-    worker count.
+    in ceil(log2(N+2)) table gathers. Its error t_j - t = (j - s) h - delta
+    is, modulo 2*pi, row (j - s) mod (N+1) of ``_cost_table`` at delta, so
+    the same weights give its cost from d terms, not K cosines. Each block
+    writes only its own slices of the results, so the outcomes and costs do
+    not depend on the block size or the worker count.
     """
     n_ions = amplitudes.size - 1
     table = _cdf_table(amplitudes)
+    cost_table = _cost_table(cost_fn, amplitudes.size)
     spacing = TWO_PI / amplitudes.size
     steps = [1 << k for k in reversed(range(amplitudes.size.bit_length()))]
     rows = max(1, _BLOCK_ENTRIES // _NODE_COUNT)
     outcomes = np.empty(true_times.size, dtype=np.intp)
+    costs = np.empty(true_times.size)
 
     def fill(lo: int) -> None:
         hi = lo + rows
@@ -234,23 +282,28 @@ def _sample_outcomes(
         for step in steps:
             row = base + np.minimum(count + step, amplitudes.size)
             count += step * (np.einsum("ij,ij->i", table[row], weights) < target)
-        outcomes[lo:hi] = np.minimum(count, n_ions)
+        outcome = np.minimum(count, n_ions)
+        outcomes[lo:hi] = outcome
+        # j - s = j + base - N, taken modulo N + 1
+        offset = (outcome + base + 1) % amplitudes.size
+        costs[lo:hi] = np.einsum("ij,ij->i", cost_table[offset], weights)
 
     starts = range(0, true_times.size, rows)
     workers = min(os.cpu_count() or 1, len(starts))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for _ in pool.map(fill, starts):
             pass
-    return outcomes
+    return outcomes, costs
 
 
 def run_simulation(config: SimConfig) -> SimResult:
     """Simulate clock runs and aggregate the empirical statistics.
 
     Per sample: draw t uniformly on [0, 2*pi), draw the outcome by inverse
-    CDF in ascending outcome order, then record the cost f(t_j - t) and the
-    wrapped error t_j - t. The 101 histogram bins are odd so one bin straddles
-    zero error; the histogram mass always equals the sample count.
+    CDF in ascending outcome order, then record the cost f(t_j - t), read
+    from the sampler's cost table, and the wrapped error t_j - t. The 101
+    histogram bins are odd so one bin straddles zero error; the histogram
+    mass always equals the sample count.
     """
     state = state_for(config.state_kind, config.n_ions, config.cost_label)
     cost_fn = canonical_cost(config.cost_label, config.n_ions)
@@ -258,11 +311,10 @@ def run_simulation(config: SimConfig) -> SimResult:
     draws = rng.random((config.samples, 2))
     true_times = 2.0 * np.pi * draws[:, 0]
 
-    outcomes = _sample_outcomes(state.amplitudes, true_times, draws[:, 1])
+    outcomes, costs = _sample_outcomes(state.amplitudes, true_times, draws[:, 1], cost_fn)
     estimates = measurement_times(config.n_ions)[outcomes]
 
     errors = wrap_angle(estimates - true_times)
-    costs = evaluate_cost(cost_fn, estimates - true_times)
 
     mean_cost = float(costs.mean())
     delta_t = float(np.sqrt(np.mean(errors**2)))

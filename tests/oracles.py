@@ -166,6 +166,24 @@ def product_cost_mp(n: int, dps: int = 40) -> float:
         return float(2 * (1 - overlap / mpmath.mpf(2) ** n))
 
 
+def cost_at_outcome_mp(w0: float, coefficients, outcome: int, dim: int, t: float,
+                       dps: int = 40) -> float:
+    """w0 - sum_k w_k cos(k x) at the exact error x = 2 pi outcome / dim - t.
+
+    The float t converts exactly; the error is not rounded to a float first.
+    cos(k x) comes from the Chebyshev recurrence, whose error grows like
+    k^2 10^-dps at worst.
+    """
+    with mpmath.workdps(dps):
+        x = 2 * mpmath.pi * outcome / dim - mpmath.mpf(float(t))
+        twice_cos = 2 * mpmath.cos(x)
+        before, current, total = mpmath.mpf(1), twice_cos / 2, mpmath.mpf(w0)
+        for wk in coefficients:
+            total -= float(wk) * current
+            before, current = current, twice_cos * current - before
+        return float(total)
+
+
 def outcome_probs_direct(amplitudes, t: float) -> np.ndarray:
     """Born probabilities from a direct complex double sum (no FFT)."""
     dim = len(amplitudes)

@@ -161,6 +161,27 @@ def test_matvec_matches_dense_product():
         )
 
 
+@pytest.mark.parametrize("bandwidth", [0, 1])
+def test_banded_matvec_matches_dense_product(bandwidth):
+    rng = np.random.default_rng(bandwidth)
+    for dim in (1, 2, 3, 8, 257):
+        column = np.zeros(dim)
+        column[: bandwidth + 1] = rng.standard_normal(bandwidth + 1)[:dim]
+        matrix = CostMatrix(column)
+        x = rng.standard_normal(dim)
+        scale = np.abs(matrix.column).sum() * np.abs(x).max()
+        np.testing.assert_allclose(
+            matrix.matvec(x), matrix.entries @ x, rtol=0, atol=1e-15 * scale
+        )
+        assert "_circulant_spectrum" not in vars(matrix)
+
+
+def test_tridiagonal_eigenpair_builds_no_circulant_spectrum():
+    matrix = cost_matrix(SIN2, 10**5)
+    smallest_eigenpair(matrix)
+    assert "_circulant_spectrum" not in vars(matrix)
+
+
 def test_quadratic_form_dimension_mismatch():
     with pytest.raises(ValueError):
         cost_matrix(SIN2, 3).quadratic_form(np.ones(3))

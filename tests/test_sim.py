@@ -10,6 +10,7 @@ from qclock import (
     SimConfig,
     canonical_cost,
     cost_matrix,
+    evaluate_cost,
     mean_cost_bound,
     phase_state,
     run_simulation,
@@ -21,6 +22,8 @@ from qclock.measurement import _outcome_prob_matrix, measurement_times
 from qclock.sim import DEFAULT_HISTOGRAM_BINS
 from qclock.solver import SolverConvergenceError
 import qclock.sim as sim_module
+
+from oracles import cost_at_outcome_mp
 
 
 def test_config_validation():
@@ -92,15 +95,19 @@ def test_histogram_mass_and_binning():
 # Recorded from the sampler before it streamed over blocks: (kind, N, cost,
 # samples, seed), then float.hex of the mean cost, delta_t and standard
 # error, then the histogram counts (a dict holds only the nonzero bins).
+# The mean costs of the first, second and last run and the first run's
+# standard error were re-pinned when the costs moved to the Chebyshev cost
+# table: each moved by at most 68 ulp, and each new mean cost is at least as
+# close to the mpmath mean of the same samples as the old one.
 GOLDEN_RUNS = [
     (
         ("optimal", 300, "sin2", 20000, 1),
-        ("0x1.c079b861b873fp-14", "0x1.52d90f6a76debp-7", "0x1.0c237f7a7bf28p-19"),
+        ("0x1.c079b861b8783p-14", "0x1.52d90f6a76debp-7", "0x1.0c237f7a7bf2ep-19"),
         {48: 3, 49: 48, 50: 19899, 51: 49, 52: 1},
     ),
     (
         ("product", 200, "abs", 20000, 2),
-        ("0x1.cbdbdfc9cbee0p-5", "0x1.20408e39466dap-4", "0x1.3aa767d88390dp-12"),
+        ("0x1.cbdbdfc9cbedep-5", "0x1.20408e39466dap-4", "0x1.3aa767d88390dp-12"),
         {45: 1, 46: 19, 47: 253, 48: 1606, 49: 4737, 50: 6829, 51: 4731, 52: 1554,
         53: 244, 54: 25, 55: 1},
     ),
@@ -125,7 +132,7 @@ GOLDEN_RUNS = [
     ),
     (
         ("phase", 17, "neg_delta", 4000, 2**63 + 12345),
-        ("-0x1.6c274bc569642p+1", "0x1.bb533a2485d26p-2", "0x1.23cd121d6d08cp-5"),
+        ("-0x1.6c274bc569643p+1", "0x1.bb533a2485d26p-2", "0x1.23cd121d6d08cp-5"),
         [1, 2, 5, 1, 0, 0, 2, 3, 4, 2, 1, 0, 1, 2, 2, 2, 0, 1, 2, 3, 3, 0, 0, 1, 2, 4,
         4, 0, 0, 7, 7, 9, 0, 0, 4, 7, 11, 12, 3, 1, 8, 29, 43, 22, 5, 11, 92, 241, 482,
         669, 698, 608, 437, 247, 104, 7, 6, 13, 22, 25, 6, 1, 3, 8, 20, 5, 1, 0, 5, 12,
@@ -152,6 +159,60 @@ def test_run_simulation_golden_outputs(config, scalars, counts):
         expected = np.array(counts)
     assert result.histogram.tolist() == expected.tolist()
 
+
+@pytest.mark.parametrize("config", [config for config, _, _ in GOLDEN_RUNS])
+def test_sampler_costs_match_mpmath_series(config):
+    # The first 256 samples of each golden run: the tabulated cost against
+    # the truncated series at the exact error 2 pi j/(N+1) - t, with at most
+    # twice the error of the series summed at the rounded float error.
+    kind, n_ions, label, samples, seed = config
+    f = canonical_cost(label, n_ions)
+    draws = np.random.Generator(np.random.Philox(key=seed)).random((samples, 2))[:256]
+    times = 2.0 * np.pi * draws[:, 0]
+    amplitudes = state_for(kind, n_ions, label).amplitudes
+    outcomes, costs = sim_module._sample_outcomes(amplitudes, times, draws[:, 1], f)
+    reference = np.array([
+        cost_at_outcome_mp(f.w0, f.coefficients, j, n_ions + 1, t)
+        for j, t in zip(outcomes.tolist(), times)
+    ])
+    direct = evaluate_cost(f, measurement_times(n_ions)[outcomes] - times)
+    scale = abs(f.w0) + f.coefficients.sum()
+    allowed = 2.0 * np.max(np.abs(direct - reference)) + 4.0 * np.finfo(float).eps * scale
+    assert np.max(np.abs(costs - reference)) <= allowed
+
+
+@pytest.mark.parametrize("label", ["abs", "abs_sin_half", "neg_delta"])
+def test_cost_table_matches_mpmath_series(label):
+    # Rows next to zero error, where w0 - sum_k w_k cos(k x) cancels, and
+    # far from it, where the factored form would lose ~eps K^2 (neg_delta).
+    n_ions = 300
+    f = canonical_cost(label, n_ions)
+    offsets = (np.pi / (n_ions + 1)) * (1.0 + sim_module._NODES)
+    rows = [0, 1, n_ions // 3, n_ions]
+    table = sim_module._cost_table(f, n_ions + 1)[rows]
+    reference = np.array([
+        [cost_at_outcome_mp(f.w0, f.coefficients, m, n_ions + 1, delta) for delta in offsets]
+        for m in rows
+    ])
+    scale = abs(f.w0) + f.coefficients.sum()
+    assert np.max(np.abs(table - reference)) <= 4.0 * np.finfo(float).eps * scale
+
+
+def test_sampler_mean_cost_keeps_its_digits_where_the_cost_is_small():
+    # The sin2 optimum at N = 10^4 has errors ~1e-4 and costs ~1e-7, where
+    # w0 - w_1 cos(x) cancels; a cost table of that form alone puts the mean
+    # ~2e-9 relative off, the cosine series at each float error ~4e-12.
+    n_ions = 10**4
+    f = canonical_cost("sin2", n_ions)
+    draws = np.random.Generator(np.random.Philox(key=3)).random((2000, 2))
+    times = 2.0 * np.pi * draws[:, 0]
+    amplitudes = state_for("optimal", n_ions, "sin2").amplitudes
+    outcomes, costs = sim_module._sample_outcomes(amplitudes, times, draws[:, 1], f)
+    reference = np.mean([
+        cost_at_outcome_mp(f.w0, f.coefficients, j, n_ions + 1, t)
+        for j, t in zip(outcomes.tolist(), times)
+    ])
+    assert abs(costs.mean() - reference) <= 1e-13 * reference
 
 
 def _result_fields(result):
@@ -226,7 +287,9 @@ def test_sampler_matches_born_row_inverse_cdf(kind, cost, n_ions):
     rng = np.random.default_rng([n_ions, KINDS.index(kind), len(cost)])
     times = 2.0 * np.pi * rng.random(3000)
     uniforms = rng.random(3000)
-    observed = sim_module._sample_outcomes(amplitudes, times, uniforms)
+    observed, _ = sim_module._sample_outcomes(
+        amplitudes, times, uniforms, canonical_cost(cost, n_ions)
+    )
     assert observed.tolist() == _reference_outcomes(amplitudes, times, uniforms).tolist()
 
 
@@ -269,7 +332,9 @@ def test_sampler_edge_times(kind, n_ions):
     )
     times = np.repeat(edges, 20)
     uniforms = np.random.default_rng(n_ions).random(times.size)
-    observed = sim_module._sample_outcomes(amplitudes, times, uniforms)
+    observed, _ = sim_module._sample_outcomes(
+        amplitudes, times, uniforms, canonical_cost("abs", n_ions)
+    )
     assert observed.tolist() == _reference_outcomes(amplitudes, times, uniforms).tolist()
 
 
@@ -282,6 +347,17 @@ def test_sampler_reaches_the_asymptotic_cost_at_n_1e5():
     target = 2.0 - 2.0 * np.cos(np.pi / (n_ions + 2))
     assert abs(result.empirical_mean_cost - target) <= 5.0 * result.standard_error_cost
     assert elapsed <= 5.0
+
+
+def test_abs_monte_carlo_at_n_1e5_matches_the_bound():
+    # With a 10^5-term cosine series per sample this run took ~17 s.
+    n_ions = 10**5
+    start = time.perf_counter()
+    result = run_simulation(SimConfig("product", n_ions, "abs", 10**4, 19))
+    elapsed = time.perf_counter() - start
+    target = mean_cost_bound(state_for("product", n_ions), canonical_cost("abs", n_ions))
+    assert abs(result.empirical_mean_cost - target) <= 5.0 * result.standard_error_cost
+    assert elapsed <= 3.0
 
 
 def test_phase_state_monte_carlo_matches_analytic_cost():
