@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from dataclasses import astuple
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -84,8 +85,31 @@ def _emit(args, command, params, payload, columns) -> None:
             if name not in columns and not isinstance(value, (list, dict))
         ]
     lines.append(",".join(columns))
-    lines += [",".join(map(_fmt, row)) for row in zip(*columns.values())]
+    if any(columns.values()):
+        lines.append(_table(columns))
     sys.stdout.write("\n".join(lines) + "\n")
+
+
+def _table(columns) -> str:
+    """The CSV rows of ``columns``, formatted by one ``%`` over all cells.
+
+    A column of exact floats takes ``%.12g`` and one of exact ints (not
+    bools) ``%d``, which print what ``_fmt`` prints; any other column is
+    passed through ``_fmt`` cell by cell.
+    """
+    specs, cells = [], []
+    for values in columns.values():
+        types = set(map(type, values))
+        if types == {float}:
+            specs.append("%.12g")
+        elif types == {int}:
+            specs.append("%d")
+        else:
+            specs.append("%s")
+            values = list(map(_fmt, values))
+        cells.append(values)
+    rows = list(zip(*cells))
+    return "\n".join([",".join(specs)] * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 def _write_gnuplot(path: str, title: str, plot_line: str) -> None:

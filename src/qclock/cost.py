@@ -137,14 +137,21 @@ class CostMatrix:
 
         Unlike a . Fa (~1e-16 N relative off at a^T F a ~ 1/N) it does not
         cancel near the bottom of the spectrum; an oscillating a is smoothed
-        first by negating its odd entries and the odd lags c_k.
+        first by negating its odd entries and the odd lags c_k. A tridiagonal
+        F needs only r_0 - r_1 = |diff([0, a, 0])|^2 / 2, summed in O(N).
         """
         a, column = self._vector(amplitudes), self.column
         signs = np.where(np.arange(a.size) % 2, -1.0, 1.0)
         if np.abs(np.diff(a * signs)).sum() < np.abs(np.diff(a)).sum():
             column, a = column * signs, a * signs
-        s = math.fsum([*column, *column[1:]])
-        return s * _sum_of_squares(a) - 2.0 * float(column[1:] @ _deficits(a))
+        lags = column[1 : self.bandwidth + 1]
+        s = math.fsum([column[0], *lags, *lags])
+        if lags.size <= 1:
+            lag_one = 0.5 * _sum_of_squares(np.diff(a, prepend=0.0, append=0.0))
+            coupled = float(lags.sum()) * lag_one
+        else:
+            coupled = float(column[1:] @ _deficits(a))
+        return s * _sum_of_squares(a) - 2.0 * coupled
 
 
 def _compensated_cumsum(x: np.ndarray) -> np.ndarray:

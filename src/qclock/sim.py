@@ -11,7 +11,8 @@ The simulator draws true times uniformly, samples outcomes from the exact
 Born-rule distribution by inverse CDF, and aggregates empirical cost and
 error statistics. Randomness comes from the counter-based Philox generator
 keyed by the configured seed: sample i consumes row i of a (samples, 2)
-uniform block laid out in fixed counter order, so results are bitwise
+uniform block laid out in fixed counter order, and a block of samples
+skips to its first row by advancing the counter, so results are bitwise
 reproducible.
 
 The outcome of a sample (t, u) is #{j : cdf_j(t) < u}, capped at N, for the
@@ -26,19 +27,26 @@ a second table, of the cost at the same offsets for each of the N+1 lattice
 errors, gives it with the same 22 interpolation weights instead of a K-term
 cosine series per sample.
 
-Outcomes and costs are drawn in blocks of 2**16 // 22 samples on a thread
-pool of min(os.cpu_count(), blocks) workers; each block writes only its
-slices of the per-sample outcome and cost arrays, so the results do not
-depend on the block size or the worker count. Memory is
-O(samples + N + workers * block); no per-sample array grows with N. Wrapped
-errors and every aggregate are computed in the calling thread over the
-whole per-sample arrays.
+Samples run in blocks of 2**16 // 22 on a thread pool of
+min(os.cpu_count(), blocks) workers. A block does the whole per-sample
+pipeline: it draws its own rows of the Philox block, samples outcomes and
+costs, wraps the errors and bins them into its own histogram, whose counts
+are added. Only the costs and wrapped errors, which the mean, RMS and
+standard error reduce over, are kept for every sample: 16 bytes each, and
+one 8-byte temporary per sample while a reduction runs. So memory is
+24 * samples + O(N + workers * block) bytes at its peak, and no per-sample
+array grows with N. Each block writes only its own slices, so the results
+do not depend on the block size or the worker count. One DEBUG record on
+the ``qclock`` logger gives the sample, block and worker counts and the
+seconds spent building the tables and sampling.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -76,6 +84,7 @@ _NODE_COUNT = 22
 _NODES = np.cos(np.pi * np.arange(_NODE_COUNT) / (_NODE_COUNT - 1))
 _BARYCENTRIC = np.where(np.arange(_NODE_COUNT) % 2, -1.0, 1.0)
 _BARYCENTRIC[[0, -1]] *= 0.5
+_LOG = logging.getLogger("qclock")
 
 __all__ = [
     "KINDS",
@@ -243,13 +252,10 @@ def _cost_table(cost_fn: CostFunction, dim: int) -> np.ndarray:
     return np.ascontiguousarray(np.where(versine * curvature < w.sum(), near, direct).T)
 
 
-def _sample_outcomes(
-    amplitudes: np.ndarray,
-    true_times: np.ndarray,
-    uniforms: np.ndarray,
-    cost_fn: CostFunction,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-CDF outcome of each sample and its cost, in blocks on a thread pool.
+def _outcome_sampler(
+    amplitudes: np.ndarray, cost_fn: CostFunction
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The block kernel: (times, uniforms) -> (outcomes, costs), tables built once.
 
     With t = s h + delta, h = 2*pi/(N+1), covariance shifts the CDF at t to
     the one at delta: cdf_j(t) = R_{N-s+1+j}(delta) - R_{N-s}(delta) for the
@@ -257,43 +263,46 @@ def _sample_outcomes(
     d barycentric weights and bisects for #{j : cdf_j(t) < u}, capped at N,
     in ceil(log2(N+2)) table gathers. Its error t_j - t = (j - s) h - delta
     is, modulo 2*pi, row (j - s) mod (N+1) of ``_cost_table`` at delta, so
-    the same weights give its cost from d terms, not K cosines. Each block
-    writes only its own slices of the results, so the outcomes and costs do
-    not depend on the block size or the worker count.
+    the same weights give its cost from d terms, not K cosines. Each sample
+    depends only on its own (t, u), so the kernel gives the same outcomes
+    and costs however the samples are split into blocks.
     """
     n_ions = amplitudes.size - 1
     table = _cdf_table(amplitudes)
     cost_table = _cost_table(cost_fn, amplitudes.size)
     spacing = TWO_PI / amplitudes.size
     steps = [1 << k for k in reversed(range(amplitudes.size.bit_length()))]
-    rows = max(1, _BLOCK_ENTRIES // _NODE_COUNT)
-    outcomes = np.empty(true_times.size, dtype=np.intp)
-    costs = np.empty(true_times.size)
 
-    def fill(lo: int) -> None:
-        hi = lo + rows
-        scaled = true_times[lo:hi] / spacing
+    def sample(times: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        scaled = times / spacing
         # t/h can round up to N+1; clipped, delta = h is the end node x = 1.
         shift = np.minimum(np.floor(scaled), n_ions)
         weights = _barycentric_weights(2.0 * (scaled - shift) - 1.0)
         base = n_ions - shift.astype(np.intp)
-        target = uniforms[lo:hi] + np.einsum("ij,ij->i", table[base], weights)
+        target = uniforms + np.einsum("ij,ij->i", table[base], weights)
         count = np.zeros(base.size, dtype=np.intp)
         for step in steps:
             row = base + np.minimum(count + step, amplitudes.size)
             count += step * (np.einsum("ij,ij->i", table[row], weights) < target)
-        outcome = np.minimum(count, n_ions)
-        outcomes[lo:hi] = outcome
+        outcomes = np.minimum(count, n_ions)
         # j - s = j + base - N, taken modulo N + 1
-        offset = (outcome + base + 1) % amplitudes.size
-        costs[lo:hi] = np.einsum("ij,ij->i", cost_table[offset], weights)
+        offset = (outcomes + base + 1) % amplitudes.size
+        return outcomes, np.einsum("ij,ij->i", cost_table[offset], weights)
 
-    starts = range(0, true_times.size, rows)
-    workers = min(os.cpu_count() or 1, len(starts))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for _ in pool.map(fill, starts):
-            pass
-    return outcomes, costs
+    return sample
+
+
+def _philox_rows(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of the (samples, 2) uniform block that Philox keyed by seed draws.
+
+    Philox yields four 64-bit words per counter step and a row takes two, so
+    row lo starts lo // 2 steps in, two words further on when lo is odd.
+    """
+    bit_generator = np.random.Philox(key=seed)
+    bit_generator.advance(lo // 2)
+    if lo % 2:
+        bit_generator.random_raw(2)
+    return np.random.Generator(bit_generator).random((hi - lo, 2))
 
 
 def run_simulation(config: SimConfig) -> SimResult:
@@ -301,20 +310,48 @@ def run_simulation(config: SimConfig) -> SimResult:
 
     Per sample: draw t uniformly on [0, 2*pi), draw the outcome by inverse
     CDF in ascending outcome order, then record the cost f(t_j - t), read
-    from the sampler's cost table, and the wrapped error t_j - t. The 101
-    histogram bins are odd so one bin straddles zero error; the histogram
-    mass always equals the sample count.
+    from the sampler's cost table, and the wrapped error t_j - t. Each block
+    of samples runs that whole pipeline on a worker: it draws its own rows
+    of the Philox block, samples, wraps and bins its errors. Only the costs
+    and wrapped errors, 16 B per sample, outlive a block. The 101 histogram
+    bins are odd so one bin straddles zero error; the histogram mass always
+    equals the sample count.
     """
     state = state_for(config.state_kind, config.n_ions, config.cost_label)
     cost_fn = canonical_cost(config.cost_label, config.n_ions)
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
-    draws = rng.random((config.samples, 2))
-    true_times = 2.0 * np.pi * draws[:, 0]
+    started = time.perf_counter()
+    sample = _outcome_sampler(state.amplitudes, cost_fn)
+    built = time.perf_counter()
+    estimates = measurement_times(config.n_ions)
+    costs = np.empty(config.samples)
+    errors = np.empty(config.samples)
+    edges = np.linspace(-np.pi, np.pi, DEFAULT_HISTOGRAM_BINS + 1)
+    rows = max(1, _BLOCK_ENTRIES // _NODE_COUNT)
 
-    outcomes, costs = _sample_outcomes(state.amplitudes, true_times, draws[:, 1], cost_fn)
-    estimates = measurement_times(config.n_ions)[outcomes]
+    def run_block(lo: int) -> np.ndarray:
+        hi = min(lo + rows, config.samples)
+        draws = _philox_rows(config.seed, lo, hi)
+        true_times = 2.0 * np.pi * draws[:, 0]
+        outcomes, costs[lo:hi] = sample(true_times, draws[:, 1])
+        errors[lo:hi] = wrap_angle(estimates[outcomes] - true_times)
+        return np.histogram(errors[lo:hi], bins=edges)[0]
 
-    errors = wrap_angle(estimates - true_times)
+    starts = range(0, config.samples, rows)
+    workers = min(os.cpu_count() or 1, len(starts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        counts = sum(pool.map(run_block, starts))
+    _LOG.debug(
+        "sampler: samples=%(samples)d block_rows=%(block_rows)d blocks=%(blocks)d"
+        " workers=%(workers)d table_s=%(table_s).6f sampling_s=%(sampling_s).6f",
+        {
+            "samples": config.samples,
+            "block_rows": rows,
+            "blocks": len(starts),
+            "workers": workers,
+            "table_s": built - started,
+            "sampling_s": time.perf_counter() - built,
+        },
+    )
 
     mean_cost = float(costs.mean())
     delta_t = float(np.sqrt(np.mean(errors**2)))
@@ -323,7 +360,6 @@ def run_simulation(config: SimConfig) -> SimResult:
     else:
         standard_error = 0.0
 
-    counts, edges = np.histogram(errors, bins=DEFAULT_HISTOGRAM_BINS, range=(-np.pi, np.pi))
     if int(counts.sum()) != config.samples:
         raise RuntimeError("histogram lost samples; wrapped errors out of range")
     return SimResult(mean_cost, delta_t, standard_error, counts, edges)

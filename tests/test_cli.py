@@ -319,6 +319,31 @@ def test_csv_uses_lf_line_endings_and_12_digits(capsys):
     assert "0.57735026919" in out  # 12 significant digits, trailing zeros trimmed
 
 
+def test_column_writer_prints_what_fmt_prints():
+    # Whole float and int columns take one printf spec; the rest, like a
+    # failed scan row's None next to floats, goes through _fmt cell by cell.
+    floats = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16,
+              1.0 / 3.0, -2.5e-300, 123456789012.5]
+    floats += np.random.default_rng(5).standard_normal(2000).tolist()
+    size = len(floats)
+    columns = {
+        "float": floats,
+        "int": range(-3, size - 3),
+        "big_int": [2**70 + i for i in range(size)],
+        "bool": [bool(i % 2) for i in range(size)],
+        "none": [None] * size,
+        "str": [f"kind%{i}" for i in range(size)],
+        "mixed": [None if i % 3 == 0 else floats[i] for i in range(size)],
+        "int_and_bool": [i % 2 == 0 if i % 5 == 0 else i for i in range(size)],
+    }
+    for name, values in columns.items():
+        single = {name: values}
+        expected = [cli._fmt(value) for value in values]
+        assert cli._table(single).split("\n") == expected, name
+    expected = [",".join(map(cli._fmt, row)) for row in zip(*columns.values())]
+    assert cli._table(columns).split("\n") == expected
+
+
 def test_gnuplot_companion_script(capsys, tmp_path):
     for argv in (
         ["posterior", "--kind", "phase", "--n", "6"],

@@ -23,6 +23,7 @@ from qclock import (
     state_for,
 )
 from qclock.cost import _deficits
+import qclock.cost as cost_module
 
 from oracles import (
     exact_deficits,
@@ -180,6 +181,43 @@ def test_tridiagonal_eigenpair_builds_no_circulant_spectrum():
     matrix = cost_matrix(SIN2, 10**5)
     smallest_eigenpair(matrix)
     assert "_circulant_spectrum" not in vars(matrix)
+
+
+def test_tridiagonal_quadratic_form_matches_the_deficit_fft(monkeypatch):
+    # The O(N) lag-one form against the FFT of every deficit, which a
+    # bandwidth reported as the full dimension forces; smooth, random and
+    # alternating vectors, so both sides of the sign smoothing are taken.
+    rng = np.random.default_rng(31)
+    cases = []
+    for dim in (3, 4, 9, 64, 257, 1000):
+        vectors = [
+            random_clock_amplitudes(rng, dim),
+            rng.standard_normal(dim),
+            phase_state(dim - 1).amplitudes * (-1.0) ** np.arange(dim),
+        ]
+        for a in vectors:
+            column = np.zeros(dim)
+            column[:2] = rng.standard_normal(2)
+            cases.append((CostMatrix(column), a))
+            cases.append((CostMatrix(column[:1].tolist() + [0.0] * (dim - 1)), a))
+    banded = [matrix.quadratic_form(a) for matrix, a in cases]
+    monkeypatch.setattr(CostMatrix, "bandwidth", property(lambda self: self.dim))
+    via_fft = [matrix.quadratic_form(a) for matrix, a in cases]
+    for fast, reference in zip(banded, via_fft):
+        assert abs(fast - reference) <= np.spacing(abs(reference))
+
+
+@pytest.mark.parametrize("kind", ["optimal", "phase"])
+def test_tridiagonal_quadratic_form_matches_mpmath_without_an_fft(monkeypatch, kind):
+    n = 10**4
+    state = state_for(kind, n, "sin2")
+    reference = rayleigh_quotient_mp(state.amplitudes, SIN2.w0, SIN2.coefficients)
+
+    def no_fft(a):
+        raise AssertionError("a tridiagonal form summed every deficit")
+
+    monkeypatch.setattr(cost_module, "_deficits", no_fft)
+    assert abs(mean_cost_bound(state, SIN2) - reference) <= 1e-13 * abs(reference)
 
 
 def test_quadratic_form_dimension_mismatch():

@@ -1,3 +1,4 @@
+import logging
 import sys
 import time
 import tracemalloc
@@ -18,6 +19,7 @@ from qclock import (
     smallest_eigenpair,
     state_for,
 )
+from qclock import cli
 from qclock.measurement import _outcome_prob_matrix, measurement_times
 from qclock.sim import DEFAULT_HISTOGRAM_BINS
 from qclock.solver import SolverConvergenceError
@@ -170,7 +172,7 @@ def test_sampler_costs_match_mpmath_series(config):
     draws = np.random.Generator(np.random.Philox(key=seed)).random((samples, 2))[:256]
     times = 2.0 * np.pi * draws[:, 0]
     amplitudes = state_for(kind, n_ions, label).amplitudes
-    outcomes, costs = sim_module._sample_outcomes(amplitudes, times, draws[:, 1], f)
+    outcomes, costs = sim_module._outcome_sampler(amplitudes, f)(times, draws[:, 1])
     reference = np.array([
         cost_at_outcome_mp(f.w0, f.coefficients, j, n_ions + 1, t)
         for j, t in zip(outcomes.tolist(), times)
@@ -207,7 +209,7 @@ def test_sampler_mean_cost_keeps_its_digits_where_the_cost_is_small():
     draws = np.random.Generator(np.random.Philox(key=3)).random((2000, 2))
     times = 2.0 * np.pi * draws[:, 0]
     amplitudes = state_for("optimal", n_ions, "sin2").amplitudes
-    outcomes, costs = sim_module._sample_outcomes(amplitudes, times, draws[:, 1], f)
+    outcomes, costs = sim_module._outcome_sampler(amplitudes, f)(times, draws[:, 1])
     reference = np.mean([
         cost_at_outcome_mp(f.w0, f.coefficients, j, n_ions + 1, t)
         for j, t in zip(outcomes.tolist(), times)
@@ -265,6 +267,56 @@ def test_simulation_memory_is_bounded(monkeypatch):
     assert peak <= 64 * 2**20
 
 
+@pytest.mark.parametrize("seed", [0, 2**63 + 12345, 2**64 - 1])
+@pytest.mark.parametrize("rows", [1, 2, 3, 13, 2979])
+def test_block_draws_are_rows_of_the_one_shot_draws(seed, rows):
+    samples = 6000
+    whole = np.random.Generator(np.random.Philox(key=seed)).random((samples, 2))
+    blocks = [
+        sim_module._philox_rows(seed, lo, min(lo + rows, samples))
+        for lo in range(0, samples, rows)
+    ]
+    assert np.array_equal(np.concatenate(blocks), whole)
+
+
+def test_million_sample_run_holds_two_sample_arrays(monkeypatch):
+    # Drawing the whole (samples, 2) block up front and keeping outcomes,
+    # estimates and their temporaries peaked at 68.7 MB; the costs and the
+    # wrapped errors alone are 16 MB.
+    monkeypatch.setattr(sim_module.os, "cpu_count", lambda: 2)
+    config = SimConfig("optimal", 300, "sin2", 10**6, 1)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        run_simulation(config)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    assert elapsed <= 2.0
+
+
+def test_sampler_logs_one_debug_record(caplog, capsys, monkeypatch):
+    monkeypatch.setattr(sim_module.os, "cpu_count", lambda: 3)
+    argv = ["simulate", "--kind", "phase", "--n", "8", "--cost", "sin2",
+            "--samples", "7000", "--seed", "4"]
+    assert cli.main(argv) == 0
+    quiet = capsys.readouterr().out
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="qclock"):
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().out == quiet
+    (record,) = caplog.records
+    assert record.name == "qclock" and record.levelno == logging.DEBUG
+    fields = record.args
+    rows = sim_module._BLOCK_ENTRIES // sim_module._NODE_COUNT
+    assert (fields["samples"], fields["block_rows"]) == (7000, rows)
+    assert (fields["blocks"], fields["workers"]) == (-(-7000 // rows), 3)
+    assert fields["table_s"] >= 0.0 and fields["sampling_s"] > 0.0
+    assert "sampler: samples=7000" in record.getMessage()
+
+
 def _row_cdfs(amplitudes, times):
     """Ascending CDF of each time's full Born row, in bounded chunks."""
     return np.concatenate(
@@ -287,9 +339,8 @@ def test_sampler_matches_born_row_inverse_cdf(kind, cost, n_ions):
     rng = np.random.default_rng([n_ions, KINDS.index(kind), len(cost)])
     times = 2.0 * np.pi * rng.random(3000)
     uniforms = rng.random(3000)
-    observed, _ = sim_module._sample_outcomes(
-        amplitudes, times, uniforms, canonical_cost(cost, n_ions)
-    )
+    sample = sim_module._outcome_sampler(amplitudes, canonical_cost(cost, n_ions))
+    observed, _ = sample(times, uniforms)
     assert observed.tolist() == _reference_outcomes(amplitudes, times, uniforms).tolist()
 
 
@@ -332,9 +383,8 @@ def test_sampler_edge_times(kind, n_ions):
     )
     times = np.repeat(edges, 20)
     uniforms = np.random.default_rng(n_ions).random(times.size)
-    observed, _ = sim_module._sample_outcomes(
-        amplitudes, times, uniforms, canonical_cost("abs", n_ions)
-    )
+    sample = sim_module._outcome_sampler(amplitudes, canonical_cost("abs", n_ions))
+    observed, _ = sample(times, uniforms)
     assert observed.tolist() == _reference_outcomes(amplitudes, times, uniforms).tolist()
 
 
