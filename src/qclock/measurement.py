@@ -15,10 +15,9 @@ does not cancel at large N. The posterior, the mutual information and the
 direct mean cost sample K on a uniform grid over [0, 2*pi) by one
 zero-padded FFT and use the periodic trapezoid rule, exact for
 trigonometric polynomials of degree below the node count. Outcome
-distributions at arbitrary times come from one kernel that builds the
-phases exp(-i m t) by angle addition, 2 sqrt(N+1) complex exponentials per
-time instead of N+1, followed by an (N+1)-point inverse FFT. The sampler
-calls it once per run, at its 22 Chebyshev offsets, for its CDF table.
+distributions read K on the N+1 outcomes, shifted by t. One transform,
+``_shifted_fft`` (the FFT of c_k exp(i k delta), one row per shift), gives
+every value of K, and the sampler's CDF and cost tables at 22 offsets.
 """
 
 from __future__ import annotations
@@ -135,56 +134,49 @@ def measurement_times(n_ions: int) -> np.ndarray:
 def wrap_angle(x):
     """Wrap a time difference to (-pi, pi]; the boundary maps to +pi."""
     wrapped = np.pi - np.mod(np.pi - np.asarray(x, dtype=float), TWO_PI)
-    if wrapped.ndim == 0:
-        return float(wrapped)
-    return wrapped
+    # np.mod rounds a tiny negative remainder up to 2*pi itself, giving -pi
+    wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
+    return float(wrapped) if wrapped.ndim == 0 else wrapped
 
 
-def _outcome_prob_matrix(amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """P(t_j | t) for each time (rows) and outcome (columns).
+def _shifted_fft(coefficients: np.ndarray, size: int, shift: float | np.ndarray) -> np.ndarray:
+    """Size-point FFT of c_k exp(i k shift), one row per shift; size >= len(c).
 
-    The phases exp(-i m t) come by angle addition: with L = ceil(sqrt(N+1))
-    and m = q L + p, exp(-i m t) = exp(-i q L t) exp(-i p t), so a row costs
-    2L complex exponentials instead of N+1. The rotated amplitudes are then
-    transformed to the outcome basis by an (N+1)-point inverse DFT. Memory
-    is O(rows * (N+1)); callers bound the number of rows.
+    Only the c_k from the first to the last nonzero one get a phase: the
+    amplitudes of a binomial state underflow to 0 beyond ~sqrt(N) levels.
     """
-    dim = amplitudes.size
-    side = math.isqrt(dim - 1) + 1
-    levels = -(-dim // side)
-    low = np.exp(-1j * np.outer(times, np.arange(side)))
-    high = np.exp(-1j * np.outer(times, side * np.arange(levels)))
-    padded = np.zeros(levels * side)
-    padded[:dim] = amplitudes
-    rotated = high[:, :, None] * low[:, None, :]
-    rotated *= padded.reshape(levels, side)
-    rotated = rotated.reshape(times.size, levels * side)[:, :dim]
-    translated = np.fft.ifft(rotated, axis=1) * dim
-    return (translated.real**2 + translated.imag**2) / dim
+    nonzero = np.flatnonzero(coefficients)
+    lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
+    series = np.zeros(np.shape(shift) + (size,), dtype=complex)
+    span = series[..., lo:hi]
+    np.multiply.outer(shift, np.arange(lo, hi), out=span.imag)
+    np.exp(span, out=span)
+    span *= coefficients[lo:hi]
+    return np.fft.fft(series)
+
+
+def _kernel_on_grid(amplitudes: np.ndarray, grid_size: int, shift=0.0) -> np.ndarray:
+    """K(2*pi*g/G - shift), g = 0..G-1, one row per shift; needs G >= N+1."""
+    amp = _shifted_fft(amplitudes, grid_size, shift)
+    return (amp.real**2 + amp.imag**2) / amplitudes.size
 
 
 def outcome_distribution(state: ClockState, t: float) -> OutcomeDistribution:
     """Born-rule outcome probabilities P(t_j | t) for a true time t.
 
-    Any finite t is reduced modulo 2*pi. Shifting t by 2*pi/(N+1) cyclically
+    Any finite t is reduced into [0, 2*pi). Shifting t by 2*pi/(N+1) cyclically
     shifts the probabilities by one outcome.
     """
     if not math.isfinite(t):
         raise ValueError(f"true time must be finite, got {t}")
-    reduced = float(np.mod(t, TWO_PI))
-    probs = _outcome_prob_matrix(state.amplitudes, np.array([reduced]))[0]
+    # np.mod rounds a tiny negative t up to 2*pi itself; % takes that to 0
+    reduced = float(np.mod(t, TWO_PI)) % TWO_PI
+    probs = _kernel_on_grid(state.amplitudes, state.dim, reduced)
     return OutcomeDistribution(state.n_ions, reduced, probs)
 
 
 def _uniform_grid(grid_size: int) -> np.ndarray:
     return np.linspace(0.0, TWO_PI, grid_size, endpoint=False)
-
-
-def _kernel_on_grid(amplitudes: np.ndarray, grid_size: int, shift: float = 0.0) -> np.ndarray:
-    """K(2*pi*g/G - shift), g = 0..G-1; needs G >= N+1 (no FFT truncation)."""
-    dim = amplitudes.size
-    amp = np.fft.fft(amplitudes * np.exp(1j * shift * np.arange(dim)), grid_size)
-    return (amp.real**2 + amp.imag**2) / dim
 
 
 def _check_grid(grid_size: int, minimum: int) -> None:

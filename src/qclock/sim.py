@@ -59,7 +59,8 @@ from .measurement import (
     estimation_report,
     measurement_times,
     wrap_angle,
-    _outcome_prob_matrix,
+    _kernel_on_grid,
+    _shifted_fft,
 )
 from .solver import SolverConvergenceError, optimal_state
 from .states import (
@@ -187,16 +188,21 @@ class SimResult:
         object.__setattr__(self, "bin_edges", edges)
 
 
+def _node_offsets(dim: int) -> np.ndarray:
+    """The Chebyshev nodes mapped to offsets delta in [0, 2*pi/dim]."""
+    return (np.pi / dim) * (1.0 + _NODES)
+
+
 def _cdf_table(amplitudes: np.ndarray) -> np.ndarray:
     """Outcome CDF at the Chebyshev nodes of one outcome spacing, two periods.
 
     Row k < N+1 holds Q_k(delta) = sum_{i<=k} P(t_i | delta) at the nodes
-    delta in [0, 2*pi/(N+1)], the ``cumsum`` of ``_NODE_COUNT`` rows of
-    ``_outcome_prob_matrix``; row N+1+k holds Q_N + Q_k, so that every
+    delta in [0, 2*pi/(N+1)], the ``cumsum`` of ``_kernel_on_grid`` on the
+    outcomes at each node; row N+1+k holds Q_N + Q_k, so that every
     ascending CDF of a true time is a contiguous run of N+1 rows.
     """
-    offsets = (np.pi / amplitudes.size) * (1.0 + _NODES)
-    cdf = np.cumsum(_outcome_prob_matrix(amplitudes, offsets), axis=1).T
+    offsets = _node_offsets(amplitudes.size)
+    cdf = np.cumsum(_kernel_on_grid(amplitudes, amplitudes.size, offsets), axis=1).T
     return np.concatenate([cdf, cdf[-1] + cdf])
 
 
@@ -221,9 +227,10 @@ def _cost_table(cost_fn: CostFunction, dim: int) -> np.ndarray:
     """Cost f(m h - delta) for m = 0..N (rows) at the Chebyshev offsets delta.
 
     Every cosine sum sum_k c_k cos(k (m h - delta)) over the nodes delta in
-    [0, h], h = 2*pi/(N+1), is Re FFT_m(c_k e^{i k delta}): one (N+1)-point
-    FFT per node, exact for K <= N since no frequency aliases. f is summed
-    in two forms and each entry keeps the one with the smaller error bound:
+    [0, h], h = 2*pi/(N+1), is Re FFT_m(c_k e^{i k delta}), a row of
+    ``_shifted_fft`` per node, exact for K <= N since no frequency aliases.
+    f is summed in two forms and each entry keeps the one with the smaller
+    error bound (only real parts are kept, no complex (22, N+1) block):
     w0 - sum_k w_k cos(k x), ~eps W off for W = sum_k w_k, and
     (w0 - W) + (1 - cos x) E(x), ~eps (1 - cos x) E(0) off, where
     E(x) = sum_k w_k (1 - cos k x) / (1 - cos x) = e_0 + 2 sum_k e_k cos(k x)
@@ -232,22 +239,15 @@ def _cost_table(cost_fn: CostFunction, dim: int) -> np.ndarray:
     1e-8 relative for the sin2 cost at N = 300.
     """
     w = cost_fn.coefficients
-    offsets = (np.pi / dim) * (1.0 + _NODES)
-    phases = np.exp(1j * np.outer(offsets, np.arange(w.size + 1)))
-
-    def cosine_sums(c: np.ndarray) -> np.ndarray:
-        series = np.zeros((_NODE_COUNT, dim), dtype=complex)
-        series[:, : c.size] = c * phases[:, : c.size]
-        return np.fft.fft(series, axis=1).real
-
-    direct = cost_fn.w0 - cosine_sums(np.concatenate(([0.0], w)))
+    offsets = _node_offsets(dim)
+    direct = cost_fn.w0 - _shifted_fft(np.concatenate(([0.0], w)), dim, offsets).real
     # e_{k-1} - e_k = sum_{j>=k} w_j: two compensated suffix sums
     e = _compensated_cumsum(_compensated_cumsum(w[::-1]))[::-1]
     e[1:] *= 2.0
     m = np.arange(dim)
-    x = np.where(2 * m > dim, m - dim, m) * (TWO_PI / dim) - offsets[:, None]
-    versine = 2.0 * np.sin(0.5 * x) ** 2
-    near = math.fsum([cost_fn.w0, *-w]) + versine * cosine_sums(e)
+    lattice = np.where(2 * m > dim, m - dim, m) * (TWO_PI / dim)
+    versine = 2.0 * np.sin(0.5 * (lattice - offsets[:, None])) ** 2
+    near = math.fsum([cost_fn.w0, *-w]) + versine * _shifted_fft(e, dim, offsets).real
     curvature = float(np.arange(1.0, w.size + 1.0) ** 2 @ w)
     return np.ascontiguousarray(np.where(versine * curvature < w.sum(), near, direct).T)
 

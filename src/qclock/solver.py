@@ -26,6 +26,7 @@ the residual contract, and the sign convention is fixed last.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,7 @@ _STALL_STEPS = 3
 # A search direction is dropped when less than this fraction of it is
 # orthogonal to the directions before it.
 _DROP_TOL = 1e-13
+_LOG = logging.getLogger("qclock")
 
 __all__ = [
     "SolverConvergenceError",
@@ -141,7 +143,7 @@ def _lobpcg(matrix: CostMatrix, precondition, parity: float, start: np.ndarray, 
     Each step takes the Rayleigh-Ritz minimum over the current vector x,
     the preconditioned residual and the previous step. Once the residual
     is at most ``tolerance`` and has stagnated, returns the x with the
-    smallest residual.
+    smallest residual and the number of steps taken.
     """
     def project(v):
         return 0.5 * (v + parity * v[::-1])
@@ -150,7 +152,7 @@ def _lobpcg(matrix: CostMatrix, precondition, parity: float, start: np.ndarray, 
     step = None
     best_residual, best = math.inf, x
     stalls = 0
-    for _ in range(_MAX_ITERATIONS):
+    for steps in range(_MAX_ITERATIONS):
         x = x / np.linalg.norm(x)
         fx = matrix.matvec(x)
         eigenvalue = float(x @ fx)
@@ -160,7 +162,7 @@ def _lobpcg(matrix: CostMatrix, precondition, parity: float, start: np.ndarray, 
         if residual < best_residual:
             best_residual, best = residual, x
         if residual == 0.0 or (best_residual <= tolerance and stalls >= _STALL_STEPS):
-            return best
+            return best, steps
         directions = [x, project(precondition(gradient))]
         if step is not None:
             directions.append(step)
@@ -178,25 +180,26 @@ def _lobpcg(matrix: CostMatrix, precondition, parity: float, start: np.ndarray, 
     )
 
 
-def _solve_smallest(matrix: CostMatrix):
+def _solve_smallest(matrix: CostMatrix, tolerance: float):
+    """(eigenvalue, vector, solver path, LOBPCG steps per parity class)."""
     dim = matrix.dim
     column = matrix.column
     if dim == 1:
-        return float(column[0]), np.ones(1)
+        return float(column[0]), np.ones(1), "dim1", ()
     if matrix.bandwidth <= 1:
-        return _tridiagonal_pair(float(column[0]), float(column[1]), dim)
+        return *_tridiagonal_pair(float(column[0]), float(column[1]), dim), "closed_form", ()
     precondition = _strang_preconditioner(column)
-    tolerance = RESIDUAL_RTOL * (_inf_norm(column) or 1.0)
     # Fixed start vectors, so the result is deterministic: the positive
     # sine profile, which overlaps the optimum of every built-in cost, and
     # its skew-symmetric counterpart.
     m = np.arange(dim)
     sine = np.sin(np.pi * (m + 1) / (dim + 1))
-    vectors = [_lobpcg(matrix, precondition, 1.0, sine, tolerance)]
+    runs = [_lobpcg(matrix, precondition, 1.0, sine, tolerance)]
     if np.any(column[1:] > 0.0):
-        vectors.append(_lobpcg(matrix, precondition, -1.0, sine * (2 * m + 1 - dim), tolerance))
+        runs.append(_lobpcg(matrix, precondition, -1.0, sine * (2 * m + 1 - dim), tolerance))
     # The lower eigenvalue wins; on a tie the symmetric vector, listed first.
-    return min(((matrix.quadratic_form(v), v) for v in vectors), key=lambda pair: pair[0])
+    eigenvalue, vector = min(((matrix.quadratic_form(v), v) for v, _ in runs), key=lambda p: p[0])
+    return eigenvalue, vector, "lobpcg", tuple(steps for _, steps in runs)
 
 
 def _inf_norm(column: np.ndarray) -> float:
@@ -215,14 +218,19 @@ def smallest_eigenpair(matrix: CostMatrix) -> EigenPair:
     and flipped so its largest-magnitude entry is positive. Non-convergence
     raises ``SolverConvergenceError`` instead of returning a wrong answer.
     Time is O(N) for a tridiagonal matrix and O(N log N) per LOBPCG step
-    otherwise; memory is O(N).
+    otherwise; memory is O(N). One DEBUG record on the ``qclock`` logger
+    gives the path, the LOBPCG steps per parity class and residual/||F||_inf.
     """
-    eigenvalue, vector = _solve_smallest(matrix)
+    scale = _inf_norm(matrix.column) or 1.0
+    eigenvalue, vector, path, steps = _solve_smallest(matrix, RESIDUAL_RTOL * scale)
     vector = vector / np.linalg.norm(vector)
     if vector[np.argmax(np.abs(vector))] < 0.0:
         vector = -vector
     residual = float(np.linalg.norm(matrix.matvec(vector) - eigenvalue * vector))
-    scale = _inf_norm(matrix.column) or 1.0
+    _LOG.debug(
+        "solver: path=%(path)s iterations=%(iterations)s residual_rel=%(residual_rel).3e",
+        {"path": path, "iterations": steps, "residual_rel": residual / scale},
+    )
     if residual > RESIDUAL_RTOL * scale:
         raise SolverConvergenceError(
             f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * ||F||_inf"

@@ -31,7 +31,7 @@ from qclock import (
     state_for,
     wrap_angle,
 )
-from qclock.measurement import _alternating_inverse_squares, _outcome_prob_matrix
+from qclock.measurement import _alternating_inverse_squares, _kernel_on_grid
 
 from oracles import (
     outcome_probs_direct,
@@ -60,6 +60,19 @@ def test_wrap_angle_conventions():
     np.testing.assert_allclose(
         wrap_angle(np.array([0.3, -0.3, TWO_PI + 0.3])), [0.3, -0.3, 0.3], atol=1e-12
     )
+
+
+@example(x=float(np.nextafter(np.pi, 4.0)))
+@example(x=np.pi)
+@example(x=-np.pi)
+@example(x=3.0 * np.pi)
+@example(x=-3.0 * np.pi)
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(-1e12, 1e12))
+def test_wrap_angle_stays_in_half_open_interval(x):
+    wrapped = wrap_angle(x)
+    assert -np.pi < wrapped <= np.pi
+    assert -np.pi < wrap_angle(np.array([x]))[0] <= np.pi
 
 
 def test_measurement_times():
@@ -102,6 +115,15 @@ def test_outcome_distribution_matches_direct_sum_oracle():
                 dist = outcome_distribution(state, float(t))
                 oracle = outcome_probs_direct(state.amplitudes, float(t))
                 np.testing.assert_allclose(dist.probabilities, oracle, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [-1e-20, -5e-324, -0.0, -TWO_PI])
+def test_outcome_distribution_reduces_time_below_two_pi(t):
+    dist = outcome_distribution(phase_state(4), t)
+    assert dist.true_time == 0.0
+    np.testing.assert_array_equal(
+        dist.probabilities, outcome_distribution(phase_state(4), 0.0).probabilities
+    )
 
 
 def test_covariance_cyclic_shift():
@@ -148,13 +170,28 @@ def _uniform_case(dim):
 @example(case=_uniform_case(65))
 @settings(max_examples=60, deadline=None)
 @given(case=amplitudes_and_times())
-def test_angle_addition_kernel_matches_direct_sum(case):
+def test_outcome_kernel_matches_direct_sum(case):
     amplitudes, times = case
-    rows = _outcome_prob_matrix(amplitudes, times)
+    rows = _kernel_on_grid(amplitudes, amplitudes.size, times)
     for t, row in zip(times, rows):
         oracle = outcome_probs_direct(amplitudes, float(t))
         np.testing.assert_allclose(row, oracle, rtol=0, atol=1e-12)
         assert abs(row.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("grid_factor", [1, 16])
+@pytest.mark.parametrize("dim", [2, 3, 64, 301, 4097])
+def test_batched_kernel_rows_equal_scalar_shift_calls(dim, grid_factor):
+    # Posteriors and the sampler's tables read the same numbers only if a
+    # row of a batched call is bitwise the call with that shift alone.
+    rng = np.random.default_rng(dim)
+    amplitudes = random_clock_amplitudes(rng, dim)
+    shifts = np.concatenate([[0.0, np.pi], rng.uniform(0.0, TWO_PI, 20)])
+    rows = _kernel_on_grid(amplitudes, grid_factor * dim, shifts)
+    assert rows.shape == (shifts.size, grid_factor * dim)
+    for shift, row in zip(shifts, rows):
+        single = _kernel_on_grid(amplitudes, grid_factor * dim, float(shift))
+        assert row.tobytes() == single.tobytes()
 
 
 @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])

@@ -20,7 +20,7 @@ from qclock import (
     state_for,
 )
 from qclock import cli
-from qclock.measurement import _outcome_prob_matrix, measurement_times
+from qclock.measurement import _kernel_on_grid, measurement_times
 from qclock.sim import DEFAULT_HISTOGRAM_BINS
 from qclock.solver import SolverConvergenceError
 import qclock.sim as sim_module
@@ -320,7 +320,7 @@ def test_sampler_logs_one_debug_record(caplog, capsys, monkeypatch):
 def _row_cdfs(amplitudes, times):
     """Ascending CDF of each time's full Born row, in bounded chunks."""
     return np.concatenate(
-        [np.cumsum(_outcome_prob_matrix(amplitudes, times[lo : lo + 256]), axis=1)
+        [np.cumsum(_kernel_on_grid(amplitudes, amplitudes.size, times[lo : lo + 256]), axis=1)
          for lo in range(0, times.size, 256)]
     )
 

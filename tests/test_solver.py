@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 
 import numpy as np
@@ -151,6 +152,26 @@ def test_lobpcg_non_convergence_raises(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: LOBPCG did not converge")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cost, path", [("abs", "lobpcg"), ("sin2", "closed_form")])
+def test_solver_logs_one_debug_record(caplog, capsys, cost, path):
+    argv = ["state", "--kind", "optimal", "--cost", cost, "--n", "30"]
+    assert cli.main(argv) == 0
+    quiet = capsys.readouterr().out
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="qclock"):
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().out == quiet
+    (record,) = caplog.records
+    assert record.name == "qclock" and record.levelno == logging.DEBUG
+    fields = record.args
+    assert fields["path"] == path
+    # abs has no positive off-diagonal entry, so only the symmetric class runs
+    assert len(fields["iterations"]) == (path == "lobpcg")
+    assert all(0 < steps < solver_module._MAX_ITERATIONS for steps in fields["iterations"])
+    assert 0.0 <= fields["residual_rel"] <= solver_module.RESIDUAL_RTOL
+    assert f"solver: path={path}" in record.getMessage()
 
 
 def sign_fixed(vector):
