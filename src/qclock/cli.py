@@ -43,6 +43,11 @@ from .solver import SignConventionError, SolverConvergenceError
 from .states import energy_stats
 
 SCHEMA_VERSION = "1"
+# The largest --n, --samples and --grid, and the largest N of a scan range.
+# Every array that a value up to it implies either fits or fails to
+# allocate, a MemoryError that exits 3; larger values reach NumPy as
+# objects or beyond its dimension limit and end in other exceptions.
+_MAX_COUNT = 2**40
 
 
 class UsageError(ValueError):
@@ -197,6 +202,8 @@ def _parse_range(text: str) -> list[int]:
     step = numbers[2] if len(numbers) == 3 else 1
     if start < 1 or stop < start or step < 1:
         raise UsageError(f"invalid range {text!r}: need 1 <= a <= b and step >= 1")
+    if stop > _MAX_COUNT:
+        raise UsageError(f"invalid range {text!r}: need b <= 2**40")
     return list(range(start, stop + 1, step))
 
 
@@ -279,6 +286,8 @@ def _positive_int(text: str) -> int:
     value = _integer(text)
     if value is None or value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    if value > _MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"must be at most 2**40, got {text}")
     return value
 
 
@@ -312,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_post.add_argument("--kind", choices=KINDS, required=True)
     p_post.add_argument("--n", type=_positive_int, required=True)
     p_post.add_argument("--outcome", type=int, default=0)
-    p_post.add_argument("--grid", type=int, default=None)
+    p_post.add_argument("--grid", type=_positive_int, default=None)
     p_post.add_argument("--cost", choices=CANONICAL_LABELS)
     p_post.add_argument("--gnuplot", metavar="PATH")
     _add_format(p_post, "csv")

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import ClockState, _check_n_ions, _log_factorials
+from .states import ClockState, _check_n_ions
 
 CANONICAL_LABELS = ("sin2", "abs", "abs_sin_half", "neg_delta")
 
@@ -292,13 +292,17 @@ def product_cost_closed_form(n_ions: int) -> float:
     evaluated without cancellation as
     sum_i (sqrt(p_i) - sqrt(p_{i+1}))^2 + p_0 + p_N, where
     sqrt(p_i) - sqrt(p_{i+1}) = sqrt(p_i) (2i+1-N) / ((i+1)(1 + sqrt((N-i)/(i+1)))).
-    The binomials are taken in the log domain; the cost decays like 1/N.
+    sqrt(p_i) is the running product of the ratios sqrt(p_{i+1}/p_i) outwards
+    from i = N//2, divided by its norm: no log-binomials cancel, and the
+    cost, which decays like 1/N, keeps its digits at every N.
     """
     _check_n_ions(n_ions)
-    log_fact = _log_factorials(n_ions)
-    log_binom = log_fact[-1] - (log_fact + log_fact[::-1])
-    root_p = np.exp(0.5 * log_binom - 0.5 * n_ions * np.log(2.0))
     i = np.arange(n_ions, dtype=float)
     ratio = np.sqrt((n_ions - i) / (i + 1.0))
+    mid = n_ions // 2
+    root_p = np.ones(n_ions + 1)
+    root_p[mid + 1 :] = np.cumprod(ratio[mid:])
+    root_p[:mid] = np.cumprod(1.0 / ratio[:mid][::-1])[::-1]
+    root_p /= np.linalg.norm(root_p)
     steps = root_p[:-1] * (2.0 * i + 1.0 - n_ions) / ((i + 1.0) * (1.0 + ratio))
     return float(steps @ steps + math.ldexp(2.0, -n_ions))  # + p_0 + p_N

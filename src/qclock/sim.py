@@ -15,23 +15,27 @@ uniform block laid out in fixed counter order, and a block of samples
 skips to its first row by advancing the counter, so results are bitwise
 reproducible.
 
-The outcome of a sample (t, u) is #{j : cdf_j(t) < u}, capped at N, for the
-ascending CDF of P(t_j | t). Covariance makes every such CDF a cyclic shift
-of one at an offset delta in [0, 2*pi/(N+1)), so one table of the CDF at
-22 Chebyshev offsets, built once per run from the outcome kernel, serves
-every sample: a sample costs O(log N) interpolations of 22 terms, not an
-(N+1)-entry Born row. The outcomes equal those of the row ``cumsum`` except
-where u lies within roundoff (~1e-13) of a CDF step. The cost of the error
-t_j - t is likewise a trigonometric polynomial of degree <= N in delta, so
-a second table, of the cost at the same offsets for each of the N+1 lattice
-errors, gives it with the same 22 interpolation weights instead of a K-term
-cosine series per sample.
+Covariance, P(t_j | t) = K(t - t_j), means only the lattice error matters:
+for a true time t = s h + delta, h = 2*pi/(N+1) and delta in [0, h), the
+outcome j = s + m (mod N+1) has m distributed as P(t_m | delta) whatever s
+is, and its error t_j - t is m h - delta modulo 2*pi. So a sample draws
+only delta/h = frac((N+1) d) from the first uniform d of its row, and m by
+inverse CDF from the second, u: m = #{k : Q_k(delta) < u}, capped at N, for
+the partial sums Q_k = sum_{i<=k} P(t_i | delta). One table of Q at 22
+Chebyshev offsets, built once per run from the outcome kernel, serves every
+sample: a sample costs O(log N) interpolations of 22 terms, not an
+(N+1)-entry Born row. The m equal the outcomes of the Born-row ``cumsum``
+at true time delta except where u lies within roundoff (~1e-13) of a CDF
+step. The cost of the error m h - delta is likewise a trigonometric
+polynomial of degree <= N in delta, so a second table, of the cost at the
+same offsets for each of the N+1 lattice errors, gives it with the same 22
+interpolation weights instead of a K-term cosine series per sample.
 
 Samples run in blocks of 2**16 // 22 on a thread pool of
 min(os.cpu_count(), blocks) workers. A block does the whole per-sample
-pipeline: it draws its own rows of the Philox block, samples outcomes and
-costs, wraps the errors and bins them into its own histogram, whose counts
-are added. Only the costs and wrapped errors, which the mean, RMS and
+pipeline: it draws its own rows of the Philox block, samples lattice
+errors and costs, wraps the errors and bins them into its own histogram,
+whose counts are added. Only the costs and wrapped errors, which the mean, RMS and
 standard error reduce over, are kept for every sample: 16 bytes each, and
 one 8-byte temporary per sample while a reduction runs. So memory is
 24 * samples + O(N + workers * block) bytes at its peak, and no per-sample
@@ -57,7 +61,6 @@ from .cost import CANONICAL_LABELS, CostFunction, _compensated_cumsum, canonical
 from .measurement import (
     TWO_PI,
     estimation_report,
-    measurement_times,
     wrap_angle,
     _kernel_on_grid,
     _shifted_fft,
@@ -194,16 +197,14 @@ def _node_offsets(dim: int) -> np.ndarray:
 
 
 def _cdf_table(amplitudes: np.ndarray) -> np.ndarray:
-    """Outcome CDF at the Chebyshev nodes of one outcome spacing, two periods.
+    """Outcome CDF at the Chebyshev nodes of one outcome spacing, one period.
 
-    Row k < N+1 holds Q_k(delta) = sum_{i<=k} P(t_i | delta) at the nodes
-    delta in [0, 2*pi/(N+1)], the ``cumsum`` of ``_kernel_on_grid`` on the
-    outcomes at each node; row N+1+k holds Q_N + Q_k, so that every
-    ascending CDF of a true time is a contiguous run of N+1 rows.
+    Row k holds Q_k(delta) = sum_{m<=k} P(t_m | delta) at the nodes delta
+    in [0, 2*pi/(N+1)], the ``cumsum`` of ``_kernel_on_grid`` on the
+    outcomes at each node: the CDF of the lattice error m at offset delta.
     """
     offsets = _node_offsets(amplitudes.size)
-    cdf = np.cumsum(_kernel_on_grid(amplitudes, amplitudes.size, offsets), axis=1).T
-    return np.concatenate([cdf, cdf[-1] + cdf])
+    return np.cumsum(_kernel_on_grid(amplitudes, amplitudes.size, offsets), axis=1).T
 
 
 def _barycentric_weights(x: np.ndarray) -> np.ndarray:
@@ -240,7 +241,7 @@ def _cost_table(cost_fn: CostFunction, dim: int) -> np.ndarray:
     """
     w = cost_fn.coefficients
     offsets = _node_offsets(dim)
-    direct = cost_fn.w0 - _shifted_fft(np.concatenate(([0.0], w)), dim, offsets).real
+    direct = cost_fn.w0 - _shifted_fft(np.pad(w, (1, 0)), dim, offsets).real
     # e_{k-1} - e_k = sum_{j>=k} w_j: two compensated suffix sums
     e = _compensated_cumsum(_compensated_cumsum(w[::-1]))[::-1]
     e[1:] *= 2.0
@@ -255,39 +256,31 @@ def _cost_table(cost_fn: CostFunction, dim: int) -> np.ndarray:
 def _outcome_sampler(
     amplitudes: np.ndarray, cost_fn: CostFunction
 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The block kernel: (times, uniforms) -> (outcomes, costs), tables built once.
+    """The block kernel: (fractions, uniforms) -> (m, costs), tables built once.
 
-    With t = s h + delta, h = 2*pi/(N+1), covariance shifts the CDF at t to
-    the one at delta: cdf_j(t) = R_{N-s+1+j}(delta) - R_{N-s}(delta) for the
-    rows R of ``_cdf_table``. A sample interpolates those rows at delta with
-    d barycentric weights and bisects for #{j : cdf_j(t) < u}, capped at N,
-    in ceil(log2(N+2)) table gathers. Its error t_j - t = (j - s) h - delta
-    is, modulo 2*pi, row (j - s) mod (N+1) of ``_cost_table`` at delta, so
-    the same weights give its cost from d terms, not K cosines. Each sample
-    depends only on its own (t, u), so the kernel gives the same outcomes
-    and costs however the samples are split into blocks.
+    A sample at the offset delta = fraction * h, h = 2*pi/(N+1), interpolates
+    the rows Q_k of ``_cdf_table`` at delta with d barycentric weights and
+    bisects for m = #{k : Q_k(delta) < u}, capped at N, in ceil(log2(N+2))
+    table gathers: m is the outcome at the true time delta, and the lattice
+    error of an outcome at any true time s h + delta. Its error m h - delta
+    is row m of ``_cost_table``, so the same weights give its cost from d
+    terms, not K cosines. Each sample depends only on its own (fraction, u),
+    so the kernel gives the same errors and costs however the samples are
+    split into blocks.
     """
     n_ions = amplitudes.size - 1
     table = _cdf_table(amplitudes)
     cost_table = _cost_table(cost_fn, amplitudes.size)
-    spacing = TWO_PI / amplitudes.size
     steps = [1 << k for k in reversed(range(amplitudes.size.bit_length()))]
 
-    def sample(times: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        scaled = times / spacing
-        # t/h can round up to N+1; clipped, delta = h is the end node x = 1.
-        shift = np.minimum(np.floor(scaled), n_ions)
-        weights = _barycentric_weights(2.0 * (scaled - shift) - 1.0)
-        base = n_ions - shift.astype(np.intp)
-        target = uniforms + np.einsum("ij,ij->i", table[base], weights)
-        count = np.zeros(base.size, dtype=np.intp)
+    def sample(fractions: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        weights = _barycentric_weights(2.0 * fractions - 1.0)
+        count = np.zeros(fractions.size, dtype=np.intp)
         for step in steps:
-            row = base + np.minimum(count + step, amplitudes.size)
-            count += step * (np.einsum("ij,ij->i", table[row], weights) < target)
-        outcomes = np.minimum(count, n_ions)
-        # j - s = j + base - N, taken modulo N + 1
-        offset = (outcomes + base + 1) % amplitudes.size
-        return outcomes, np.einsum("ij,ij->i", cost_table[offset], weights)
+            row = np.minimum(count + step, amplitudes.size) - 1
+            count += step * (np.einsum("ij,ij->i", table[row], weights) < uniforms)
+        m = np.minimum(count, n_ions)
+        return m, np.einsum("ij,ij->i", cost_table[m], weights)
 
     return sample
 
@@ -308,13 +301,15 @@ def _philox_rows(seed: int, lo: int, hi: int) -> np.ndarray:
 def run_simulation(config: SimConfig) -> SimResult:
     """Simulate clock runs and aggregate the empirical statistics.
 
-    Per sample: draw t uniformly on [0, 2*pi), draw the outcome by inverse
-    CDF in ascending outcome order, then record the cost f(t_j - t), read
-    from the sampler's cost table, and the wrapped error t_j - t. Each block
-    of samples runs that whole pipeline on a worker: it draws its own rows
-    of the Philox block, samples, wraps and bins its errors. Only the costs
-    and wrapped errors, 16 B per sample, outlive a block. The 101 histogram
-    bins are odd so one bin straddles zero error; the histogram mass always
+    Per sample: draw the true time's offset delta in one outcome spacing h
+    from the first uniform of its row, as delta/h = frac((N+1) d) (t = 2*pi d
+    would put it there), draw the lattice error m by inverse CDF from the
+    second, then record the cost f(m h - delta), read from the sampler's
+    cost table, and the wrapped error m h - delta. Each block of samples
+    runs that whole pipeline on a worker: it draws its own rows of the
+    Philox block, samples, wraps and bins its errors. Only the costs and
+    wrapped errors, 16 B per sample, outlive a block. The 101 histogram bins
+    are odd so one bin straddles zero error; the histogram mass always
     equals the sample count.
     """
     state = state_for(config.state_kind, config.n_ions, config.cost_label)
@@ -322,7 +317,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     started = time.perf_counter()
     sample = _outcome_sampler(state.amplitudes, cost_fn)
     built = time.perf_counter()
-    estimates = measurement_times(config.n_ions)
+    spacing = TWO_PI / (config.n_ions + 1)
     costs = np.empty(config.samples)
     errors = np.empty(config.samples)
     edges = np.linspace(-np.pi, np.pi, DEFAULT_HISTOGRAM_BINS + 1)
@@ -331,9 +326,11 @@ def run_simulation(config: SimConfig) -> SimResult:
     def run_block(lo: int) -> np.ndarray:
         hi = min(lo + rows, config.samples)
         draws = _philox_rows(config.seed, lo, hi)
-        true_times = 2.0 * np.pi * draws[:, 0]
-        outcomes, costs[lo:hi] = sample(true_times, draws[:, 1])
-        errors[lo:hi] = wrap_angle(estimates[outcomes] - true_times)
+        # t = 2*pi d = s h + delta with delta = fraction * h; s drops out
+        scaled = draws[:, 0] * (config.n_ions + 1)
+        fractions = scaled - np.floor(scaled)
+        m, costs[lo:hi] = sample(fractions, draws[:, 1])
+        errors[lo:hi] = wrap_angle(spacing * (m - fractions))
         return np.histogram(errors[lo:hi], bins=edges)[0]
 
     starts = range(0, config.samples, rows)

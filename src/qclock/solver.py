@@ -141,9 +141,10 @@ def _lobpcg(matrix: CostMatrix, precondition, parity: float, start: np.ndarray, 
     """Lowest unit eigenvector of F among vectors with v[::-1] = parity * v.
 
     Each step takes the Rayleigh-Ritz minimum over the current vector x,
-    the preconditioned residual and the previous step. Once the residual
-    is at most ``tolerance`` and has stagnated, returns the x with the
-    smallest residual and the number of steps taken.
+    the preconditioned residual and the previous step. Returns the x with
+    the smallest residual, the number of steps taken and that residual:
+    once the residual is at most ``tolerance`` and has stagnated, or with
+    ``_MAX_ITERATIONS`` steps when that does not happen.
     """
     def project(v):
         return 0.5 * (v + parity * v[::-1])
@@ -162,7 +163,7 @@ def _lobpcg(matrix: CostMatrix, precondition, parity: float, start: np.ndarray, 
         if residual < best_residual:
             best_residual, best = residual, x
         if residual == 0.0 or (best_residual <= tolerance and stalls >= _STALL_STEPS):
-            return best, steps
+            return best, steps, best_residual
         directions = [x, project(precondition(gradient))]
         if step is not None:
             directions.append(step)
@@ -174,14 +175,24 @@ def _lobpcg(matrix: CostMatrix, precondition, parity: float, start: np.ndarray, 
         # alike, so x and the step stay exactly in their class.
         step = sum((w * v for w, v in zip(weights[1:], basis[1:])), np.zeros(x.size))
         x = weights[0] * basis[0] + step
-    raise SolverConvergenceError(
-        f"LOBPCG did not converge in {_MAX_ITERATIONS} iterations: "
-        f"residual {best_residual:.3e}, contract {tolerance:.3e}"
+    return best, _MAX_ITERATIONS, best_residual
+
+
+def _log_solve(path: str, steps: tuple, residual_rel: float) -> None:
+    """The one DEBUG record of a solve, whether it converged or not."""
+    _LOG.debug(
+        "solver: path=%(path)s iterations=%(iterations)s residual_rel=%(residual_rel).3e",
+        {"path": path, "iterations": steps, "residual_rel": residual_rel},
     )
 
 
-def _solve_smallest(matrix: CostMatrix, tolerance: float):
-    """(eigenvalue, vector, solver path, LOBPCG steps per parity class)."""
+def _solve_smallest(matrix: CostMatrix, scale: float):
+    """(eigenvalue, vector, solver path, LOBPCG steps per parity class).
+
+    A LOBPCG run that does not converge is logged, with its best residual,
+    and raises ``SolverConvergenceError``.
+    """
+    tolerance = RESIDUAL_RTOL * scale
     dim = matrix.dim
     column = matrix.column
     if dim == 1:
@@ -194,12 +205,23 @@ def _solve_smallest(matrix: CostMatrix, tolerance: float):
     # its skew-symmetric counterpart.
     m = np.arange(dim)
     sine = np.sin(np.pi * (m + 1) / (dim + 1))
-    runs = [_lobpcg(matrix, precondition, 1.0, sine, tolerance)]
+    classes = [(1.0, sine)]
     if np.any(column[1:] > 0.0):
-        runs.append(_lobpcg(matrix, precondition, -1.0, sine * (2 * m + 1 - dim), tolerance))
+        classes.append((-1.0, sine * (2 * m + 1 - dim)))
+    vectors, steps = [], []
+    for parity, start in classes:
+        vector, taken, residual = _lobpcg(matrix, precondition, parity, start, tolerance)
+        vectors.append(vector)
+        steps.append(taken)
+        if taken == _MAX_ITERATIONS:
+            _log_solve("lobpcg", tuple(steps), residual / scale)
+            raise SolverConvergenceError(
+                f"LOBPCG did not converge in {_MAX_ITERATIONS} iterations: "
+                f"residual {residual:.3e}, contract {tolerance:.3e}"
+            )
     # The lower eigenvalue wins; on a tie the symmetric vector, listed first.
-    eigenvalue, vector = min(((matrix.quadratic_form(v), v) for v, _ in runs), key=lambda p: p[0])
-    return eigenvalue, vector, "lobpcg", tuple(steps for _, steps in runs)
+    eigenvalue, vector = min(((matrix.quadratic_form(v), v) for v in vectors), key=lambda p: p[0])
+    return eigenvalue, vector, "lobpcg", tuple(steps)
 
 
 def _inf_norm(column: np.ndarray) -> float:
@@ -219,18 +241,16 @@ def smallest_eigenpair(matrix: CostMatrix) -> EigenPair:
     raises ``SolverConvergenceError`` instead of returning a wrong answer.
     Time is O(N) for a tridiagonal matrix and O(N log N) per LOBPCG step
     otherwise; memory is O(N). One DEBUG record on the ``qclock`` logger
-    gives the path, the LOBPCG steps per parity class and residual/||F||_inf.
+    gives the path, the LOBPCG steps per parity class and residual/||F||_inf,
+    the best one reached when LOBPCG does not converge.
     """
     scale = _inf_norm(matrix.column) or 1.0
-    eigenvalue, vector, path, steps = _solve_smallest(matrix, RESIDUAL_RTOL * scale)
+    eigenvalue, vector, path, steps = _solve_smallest(matrix, scale)
     vector = vector / np.linalg.norm(vector)
     if vector[np.argmax(np.abs(vector))] < 0.0:
         vector = -vector
     residual = float(np.linalg.norm(matrix.matvec(vector) - eigenvalue * vector))
-    _LOG.debug(
-        "solver: path=%(path)s iterations=%(iterations)s residual_rel=%(residual_rel).3e",
-        {"path": path, "iterations": steps, "residual_rel": residual / scale},
-    )
+    _log_solve(path, steps, residual / scale)
     if residual > RESIDUAL_RTOL * scale:
         raise SolverConvergenceError(
             f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * ||F||_inf"

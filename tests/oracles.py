@@ -158,12 +158,20 @@ def smallest_eigenpair_mp(entries: np.ndarray, dps: int = 40, steps: int = 3):
 
 
 def product_cost_mp(n: int, dps: int = 40) -> float:
-    """2 [1 - 2^-N sum_i sqrt(C(N, i) C(N, i+1))] from exact binomials in mpmath."""
+    """2 [1 - sum_i sqrt(p_i p_{i+1})] for p_i = C(N, i)/2^N, in mpmath.
+
+    The p_i come from the recurrence p_{i+1} = p_i (N - i)/(i + 1) from
+    p_0 = 2^-N, so no big binomial is formed; each step rounds at 10^-dps,
+    far below the 1/N the cancellation leaves.
+    """
     with mpmath.workdps(dps):
-        overlap = mpmath.fsum(
-            mpmath.sqrt(math.comb(n, i) * math.comb(n, i + 1)) for i in range(n)
-        )
-        return float(2 * (1 - overlap / mpmath.mpf(2) ** n))
+        p = mpmath.mpf(2) ** -n
+        terms = []
+        for i in range(n):
+            following = p * (n - i) / (i + 1)
+            terms.append(mpmath.sqrt(p * following))
+            p = following
+        return float(2 * (1 - mpmath.fsum(terms)))
 
 
 def cost_at_outcome_mp(w0: float, coefficients, outcome: int, dim: int, t: float,

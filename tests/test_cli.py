@@ -108,6 +108,23 @@ def test_non_integer_n_names_the_rule_not_the_parser(capsys):
     assert "_positive_int" not in err
 
 
+@pytest.mark.parametrize("value", [str(2**40 + 1), str(10**20)])
+@pytest.mark.parametrize("argv, option", [
+    (["state", "--kind", "phase", "--n", "{}"], "--n"),
+    (["mutinfo", "--kind", "phase", "--n", "{}"], "--n"),
+    (["posterior", "--kind", "phase", "--n", "2", "--grid", "{}"], "--grid"),
+    (["simulate", "--kind", "phase", "--n", "4", "--cost", "sin2", "--samples", "{}"],
+     "--samples"),
+    (["scan", "--kinds", "phase", "--cost", "sin2", "--n", "{0}:{0}"], "invalid range"),
+], ids=["state", "mutinfo", "posterior", "simulate", "scan"])
+def test_oversized_counts_exit_2_without_a_traceback(capsys, argv, option, value):
+    # Each of these ended in a traceback at 10**20; parsing now stops them.
+    code, out, err = run_cli(capsys, [arg.format(value) for arg in argv])
+    assert (code, out) == (2, "")
+    assert "2**40" in err and option in err
+    assert "Traceback" not in err
+
+
 def test_non_integer_seed_names_the_rule_not_the_parser(capsys):
     argv = ["simulate", "--kind", "phase", "--n", "4", "--cost", "sin2",
             "--samples", "10", "--seed", "x"]
@@ -366,8 +383,8 @@ def test_gnuplot_companion_script(capsys, tmp_path):
 # closed-form and LOBPCG eigensolvers moved their last printed digits, and the
 # scan's again when the mean cost and the RMS error moved to the shared
 # deficit steps; every moved value is now within 1 ulp of mpmath. The
-# simulate JSON digest was re-pinned when the sampler's costs moved to the
-# Chebyshev cost table: its standard error moved by 1 ulp.
+# simulate digests were re-pinned when the sampler drew the lattice error at
+# the offset in one spacing instead of the outcome at the true time.
 GOLDEN_COMMANDS = [
     (["state", "--kind", "optimal", "--cost", "abs", "--n", "6"],
      "bc256ed713aef225f98ba787a4098f9586aebe94d7578a2c1c0673356dd7cdd5",
@@ -381,8 +398,8 @@ GOLDEN_COMMANDS = [
      "a73f7f0496e3e5a32a5c23d4d61c23216262b1ee70357883eca33d3845da9c27"),
     (["simulate", "--kind", "optimal", "--cost", "sin2", "--n", "8",
       "--samples", "500", "--seed", "7"],
-     "2598a80b7e719ad651cb5884cb734579dfc524d5300f7a017b68659e1bb5dbd6",
-     "c72ee52a51b0d07204b297c422e047d0f361c01b8066208e010f879c55cf8528"),
+     "1248134a5633cd3e687b2f382f34feb3c5d535994096e5195bb6ae7fb7594bc6",
+     "6d62468de8b0cbb52e3abd456978159b3369ef4c06f7d0c3a9dde5c1f96b3ddb"),
     (["mutinfo", "--kind", "phase", "--n", "7"],
      "cd15ac4d0d52d5d4cc38a6ab8e06785a2a48713e8aa90777be9e2da83857adde",
      "c7288d0cf910cd891c69cc7ce28d5cea256afd95631c9112d0cfcbb89d070073"),

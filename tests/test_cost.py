@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -313,6 +314,24 @@ def test_product_cost_closed_form_matches_bound_up_to_512():
 def test_product_cost_closed_form_matches_mpmath(n):
     reference = product_cost_mp(n)
     assert abs(product_cost_closed_form(n) - reference) <= 1e-11 * reference
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5])
+def test_product_cost_closed_form_keeps_its_digits_at_large_n(n):
+    # Log-binomials from lgamma lost digits linearly in N: 1.1e-11 and
+    # 1.4e-10 relative at these N.
+    reference = product_cost_mp(n)
+    assert abs(product_cost_closed_form(n) - reference) <= 4.0 * np.spacing(reference)
+
+
+@pytest.mark.parametrize("n", [50, 1000])
+def test_product_cost_oracle_matches_exact_binomials(n):
+    with mpmath.workdps(40):
+        overlap = mpmath.fsum(
+            mpmath.sqrt(math.comb(n, i) * math.comb(n, i + 1)) for i in range(n)
+        )
+        exact = float(2 * (1 - overlap / mpmath.mpf(2) ** n))
+    assert product_cost_mp(n) == exact
 
 
 def test_sin2_cost_respects_resolution_floor():

@@ -94,54 +94,50 @@ def test_histogram_mass_and_binning():
     assert edges[middle] < 0.0 < edges[middle + 1]  # one bin straddles zero
 
 
-# Recorded from the sampler before it streamed over blocks: (kind, N, cost,
-# samples, seed), then float.hex of the mean cost, delta_t and standard
-# error, then the histogram counts (a dict holds only the nonzero bins).
-# The mean costs of the first, second and last run and the first run's
-# standard error were re-pinned when the costs moved to the Chebyshev cost
-# table: each moved by at most 68 ulp, and each new mean cost is at least as
-# close to the mpmath mean of the same samples as the old one.
+# (kind, N, cost, samples, seed), then float.hex of the mean cost, delta_t
+# and standard error, then the histogram counts (a dict holds only the
+# nonzero bins). Re-pinned when the sampler drew the lattice error m at the
+# offset delta instead of the outcome at the true time: the same law, but a
+# given uniform now picks another outcome. Each mean cost lies within 5
+# standard errors of ``mean_cost_bound``.
 GOLDEN_RUNS = [
     (
         ("optimal", 300, "sin2", 20000, 1),
-        ("0x1.c079b861b8783p-14", "0x1.52d90f6a76debp-7", "0x1.0c237f7a7bf2ep-19"),
-        {48: 3, 49: 48, 50: 19899, 51: 49, 52: 1},
+        ("0x1.b9e1fe58f2711p-14", "0x1.5058d19dd269fp-7", "0x1.f6b8f4a0de657p-20"),
+        {48: 2, 49: 57, 50: 19896, 51: 44, 52: 1},
     ),
     (
         ("product", 200, "abs", 20000, 2),
-        ("0x1.cbdbdfc9cbedep-5", "0x1.20408e39466dap-4", "0x1.3aa767d88390dp-12"),
-        {45: 1, 46: 19, 47: 253, 48: 1606, 49: 4737, 50: 6829, 51: 4731, 52: 1554,
-        53: 244, 54: 25, 55: 1},
+        ("0x1.cee30d273eec5p-5", "0x1.221d124155482p-4", "0x1.3c9f5938cbf0fp-12"),
+        {45: 1, 46: 14, 47: 242, 48: 1609, 49: 4637, 50: 6806, 51: 4769, 52: 1622, 53: 275,
+        54: 25},
     ),
     (
         ("max_spread", 33, "abs_sin_half", 5000, 11),
-        ("0x1.457d6b42c97a8p-1", "0x1.d11ca0a995bcdp+0", "0x1.2052f3c36ab6fp-8"),
-        [24, 92, 29, 20, 87, 40, 18, 100, 31, 22, 93, 34, 12, 89, 55, 10, 77, 62, 5, 80,
-        68, 6, 81, 59, 9, 80, 69, 7, 69, 66, 3, 60, 87, 8, 60, 60, 18, 40, 94, 12, 45,
-        97, 18, 41, 82, 26, 38, 100, 22, 34, 74, 43, 29, 125, 33, 18, 86, 44, 22, 71,
-        34, 19, 70, 52, 19, 76, 60, 14, 69, 62, 11, 69, 64, 3, 80, 52, 10, 68, 88, 14,
-        70, 77, 8, 62, 76, 18, 53, 85, 16, 41, 84, 12, 45, 91, 28, 43, 85, 23, 32, 101,
-        32],
+        ("0x1.43c4ae694c901p-1", "0x1.cf6f0fbb5fa8fp+0", "0x1.202bdb4bf343ap-8"),
+        [30, 86, 41, 24, 85, 36, 15, 76, 48, 20, 86, 52, 11, 82, 61, 7, 87, 53, 11, 86, 57,
+        9, 82, 51, 7, 80, 57, 13, 66, 70, 6, 65, 88, 10, 70, 96, 14, 51, 79, 18, 42, 90, 15,
+        47, 93, 23, 34, 87, 27, 35, 86, 37, 28, 82, 50, 22, 107, 44, 14, 87, 49, 15, 82, 43,
+        12, 75, 50, 8, 89, 70, 8, 76, 49, 6, 56, 63, 5, 59, 65, 8, 71, 75, 12, 60, 82, 13,
+        40, 92, 16, 49, 87, 11, 38, 92, 22, 39, 92, 28, 31, 102, 24],
     ),
     (
         ("phase", 1, "sin2", 3000, 5),
-        ("0x1.02593def3538cp+0", "0x1.2436baaf56777p+0", "0x1.2b145df1e247dp-6"),
-        [1, 0, 1, 0, 0, 2, 0, 2, 5, 4, 6, 8, 13, 8, 10, 12, 14, 13, 22, 20, 14, 16, 21,
-        21, 30, 35, 36, 38, 39, 36, 36, 39, 52, 41, 46, 58, 48, 50, 48, 51, 61, 55, 55,
-        50, 48, 53, 55, 66, 48, 60, 67, 48, 64, 59, 56, 61, 65, 62, 51, 42, 63, 47, 55,
-        58, 39, 54, 51, 37, 35, 37, 43, 34, 37, 37, 41, 35, 20, 36, 23, 26, 29, 15, 20,
-        13, 13, 13, 13, 10, 9, 6, 4, 4, 6, 2, 8, 2, 0, 2, 1, 0, 0],
+        ("0x1.ff2266ae2f8f6p-1", "0x1.21d5dc57df30dp+0", "0x1.27d285ac0b66fp-6"),
+        [1, 1, 0, 0, 1, 2, 3, 1, 3, 5, 8, 5, 10, 8, 13, 19, 11, 14, 21, 23, 8, 22, 24, 33,
+        32, 33, 40, 39, 34, 46, 38, 39, 50, 40, 45, 66, 49, 48, 49, 53, 63, 54, 55, 52, 51,
+        53, 55, 67, 49, 60, 67, 48, 64, 59, 56, 60, 65, 60, 50, 43, 63, 47, 60, 58, 38, 50,
+        48, 39, 32, 41, 43, 29, 39, 27, 33, 32, 22, 33, 24, 28, 17, 15, 23, 13, 15, 11, 9,
+        9, 8, 5, 3, 4, 7, 1, 3, 2, 0, 1, 0, 0, 0],
     ),
     (
         ("phase", 17, "neg_delta", 4000, 2**63 + 12345),
-        ("-0x1.6c274bc569643p+1", "0x1.bb533a2485d26p-2", "0x1.23cd121d6d08cp-5"),
-        [1, 2, 5, 1, 0, 0, 2, 3, 4, 2, 1, 0, 1, 2, 2, 2, 0, 1, 2, 3, 3, 0, 0, 1, 2, 4,
-        4, 0, 0, 7, 7, 9, 0, 0, 4, 7, 11, 12, 3, 1, 8, 29, 43, 22, 5, 11, 92, 241, 482,
-        669, 698, 608, 437, 247, 104, 7, 6, 13, 22, 25, 6, 1, 3, 8, 20, 5, 1, 0, 5, 12,
-        11, 2, 1, 0, 1, 1, 3, 1, 0, 2, 4, 3, 1, 1, 0, 2, 6, 4, 0, 0, 2, 2, 0, 5, 1, 0,
-        0, 2, 4, 2, 0],
+        ("-0x1.6f2b629b68968p+1", "0x1.7b72851def88dp-2", "0x1.21c24ad344f30p-5"),
+        [0, 1, 0, 1, 2, 0, 1, 1, 0, 0, 0, 1, 1, 2, 4, 1, 0, 0, 2, 2, 2, 0, 0, 0, 4, 5, 0, 0,
+        0, 2, 4, 5, 3, 1, 1, 7, 15, 14, 3, 0, 5, 25, 48, 16, 8, 16, 92, 263, 493, 679, 697,
+        609, 438, 241, 83, 8, 2, 19, 32, 34, 12, 0, 1, 14, 11, 10, 1, 0, 3, 4, 11, 3, 0, 2,
+        0, 2, 5, 1, 0, 0, 4, 3, 0, 0, 0, 1, 1, 3, 2, 0, 0, 0, 1, 3, 0, 0, 1, 2, 1, 5, 0],
     ),
-
 ]
 
 
@@ -154,6 +150,9 @@ def test_run_simulation_golden_outputs(config, scalars, counts):
         result.standard_error_cost.hex(),
     )
     assert observed == scalars
+    kind, n_ions, label, _, _ = config
+    bound = mean_cost_bound(state_for(kind, n_ions, label), canonical_cost(label, n_ions))
+    assert abs(result.empirical_mean_cost - bound) <= 5.0 * result.standard_error_cost
     if isinstance(counts, dict):
         expected = np.zeros(DEFAULT_HISTOGRAM_BINS, dtype=np.int64)
         expected[list(counts)] = list(counts.values())
@@ -165,19 +164,21 @@ def test_run_simulation_golden_outputs(config, scalars, counts):
 @pytest.mark.parametrize("config", [config for config, _, _ in GOLDEN_RUNS])
 def test_sampler_costs_match_mpmath_series(config):
     # The first 256 samples of each golden run: the tabulated cost against
-    # the truncated series at the exact error 2 pi j/(N+1) - t, with at most
-    # twice the error of the series summed at the rounded float error.
+    # the truncated series at the exact error 2 pi m/(N+1) - t, t = fraction
+    # * h, with at most twice the error of the series summed at the rounded
+    # float error.
     kind, n_ions, label, samples, seed = config
     f = canonical_cost(label, n_ions)
     draws = np.random.Generator(np.random.Philox(key=seed)).random((samples, 2))[:256]
-    times = 2.0 * np.pi * draws[:, 0]
+    fractions = np.modf(draws[:, 0] * (n_ions + 1))[0]
+    times = fractions * (2.0 * np.pi / (n_ions + 1))
     amplitudes = state_for(kind, n_ions, label).amplitudes
-    outcomes, costs = sim_module._outcome_sampler(amplitudes, f)(times, draws[:, 1])
+    m, costs = sim_module._outcome_sampler(amplitudes, f)(fractions, draws[:, 1])
     reference = np.array([
         cost_at_outcome_mp(f.w0, f.coefficients, j, n_ions + 1, t)
-        for j, t in zip(outcomes.tolist(), times)
+        for j, t in zip(m.tolist(), times)
     ])
-    direct = evaluate_cost(f, measurement_times(n_ions)[outcomes] - times)
+    direct = evaluate_cost(f, measurement_times(n_ions)[m] - times)
     scale = abs(f.w0) + f.coefficients.sum()
     allowed = 2.0 * np.max(np.abs(direct - reference)) + 4.0 * np.finfo(float).eps * scale
     assert np.max(np.abs(costs - reference)) <= allowed
@@ -207,12 +208,13 @@ def test_sampler_mean_cost_keeps_its_digits_where_the_cost_is_small():
     n_ions = 10**4
     f = canonical_cost("sin2", n_ions)
     draws = np.random.Generator(np.random.Philox(key=3)).random((2000, 2))
-    times = 2.0 * np.pi * draws[:, 0]
+    fractions = np.modf(draws[:, 0] * (n_ions + 1))[0]
+    times = fractions * (2.0 * np.pi / (n_ions + 1))
     amplitudes = state_for("optimal", n_ions, "sin2").amplitudes
-    outcomes, costs = sim_module._outcome_sampler(amplitudes, f)(times, draws[:, 1])
+    m, costs = sim_module._outcome_sampler(amplitudes, f)(fractions, draws[:, 1])
     reference = np.mean([
         cost_at_outcome_mp(f.w0, f.coefficients, j, n_ions + 1, t)
-        for j, t in zip(outcomes.tolist(), times)
+        for j, t in zip(m.tolist(), times)
     ])
     assert abs(costs.mean() - reference) <= 1e-13 * reference
 
@@ -335,31 +337,27 @@ def _reference_outcomes(amplitudes, times, uniforms):
 @pytest.mark.parametrize("cost", ["sin2", "abs"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_sampler_matches_born_row_inverse_cdf(kind, cost, n_ions):
+    # The lattice error m at offset delta is the outcome at true time delta.
     amplitudes = state_for(kind, n_ions, cost).amplitudes
     rng = np.random.default_rng([n_ions, KINDS.index(kind), len(cost)])
-    times = 2.0 * np.pi * rng.random(3000)
+    fractions = rng.random(3000)
     uniforms = rng.random(3000)
+    times = fractions * (2.0 * np.pi / (n_ions + 1))
     sample = sim_module._outcome_sampler(amplitudes, canonical_cost(cost, n_ions))
-    observed, _ = sample(times, uniforms)
+    observed, _ = sample(fractions, uniforms)
     assert observed.tolist() == _reference_outcomes(amplitudes, times, uniforms).tolist()
 
 
 @pytest.mark.parametrize("n_ions", [1, 40, 301, 2000])
 @pytest.mark.parametrize("kind", ["max_spread", "optimal"])
 def test_interpolated_cdf_matches_born_row_cumsum(kind, n_ions):
-    # cdf_j(t) = R_{N-s+1+j}(delta) - R_{N-s}(delta), t = s h + delta, for
-    # the rows R of the Chebyshev table interpolated at delta.
+    # The rows of the Chebyshev table interpolated at delta = fraction * h
+    # are the CDF of the Born row at true time delta.
     amplitudes = state_for(kind, n_ions, "sin2").amplitudes
-    dim = n_ions + 1
-    times = 2.0 * np.pi * np.random.default_rng(n_ions).random(200)
-    spacings = times / (2.0 * np.pi / dim)
-    shift = np.minimum(np.floor(spacings), n_ions)
-    weights = sim_module._barycentric_weights(2.0 * (spacings - shift) - 1.0)
-    values = sim_module._cdf_table(amplitudes) @ weights.T
-    base = n_ions - shift.astype(int)
-    interpolated = np.array(
-        [values[b + 1 : b + 1 + dim, r] - values[b, r] for r, b in enumerate(base)]
-    )
+    fractions = np.random.default_rng(n_ions).random(200)
+    times = fractions * (2.0 * np.pi / (n_ions + 1))
+    weights = sim_module._barycentric_weights(2.0 * fractions - 1.0)
+    interpolated = weights @ sim_module._cdf_table(amplitudes).T
     assert np.max(np.abs(interpolated - _row_cdfs(amplitudes, times))) <= 1e-12
 
 
@@ -374,17 +372,15 @@ def test_barycentric_weights_on_a_node_are_its_unit_vector():
 @pytest.mark.parametrize("n_ions", [1, 2, 7, 64, 300])
 @pytest.mark.parametrize("kind", ["phase", "max_spread", "optimal"])
 def test_sampler_edge_times(kind, n_ions):
-    # Times on the outcome grid (delta = 0) and just below 2*pi, where t/h
-    # rounds up to N+1 at N = 2 and 64.
+    # Offsets on the outcome grid (delta = 0), just below one spacing, and
+    # on each Chebyshev node, where the weights are a unit vector.
     amplitudes = state_for(kind, n_ions, "abs").amplitudes
-    grid = np.arange(n_ions + 1) * (2.0 * np.pi / (n_ions + 1))
-    edges = np.concatenate(
-        [measurement_times(n_ions), grid, [np.nextafter(2.0 * np.pi, 0.0), 0.0]]
-    )
-    times = np.repeat(edges, 20)
+    edges = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], 0.5 * (1.0 + sim_module._NODES)])
+    fractions = np.repeat(edges, 20)
+    times = fractions * (2.0 * np.pi / (n_ions + 1))
     uniforms = np.random.default_rng(n_ions).random(times.size)
     sample = sim_module._outcome_sampler(amplitudes, canonical_cost("abs", n_ions))
-    observed, _ = sample(times, uniforms)
+    observed, _ = sample(fractions, uniforms)
     assert observed.tolist() == _reference_outcomes(amplitudes, times, uniforms).tolist()
 
 

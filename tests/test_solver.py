@@ -154,6 +154,23 @@ def test_lobpcg_non_convergence_raises(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_failed_solve_logs_one_debug_record(caplog, monkeypatch):
+    monkeypatch.setattr(solver_module, "_MAX_ITERATIONS", 1)
+    matrix = cost_matrix(canonical_cost("abs", 10), 10)
+    with caplog.at_level(logging.DEBUG, logger="qclock"):
+        with pytest.raises(SolverConvergenceError) as raised:
+            smallest_eigenpair(matrix)
+    (record,) = caplog.records
+    assert record.name == "qclock" and record.levelno == logging.DEBUG
+    fields = record.args
+    # abs runs only the symmetric class, which stops after its one step
+    assert (fields["path"], fields["iterations"]) == ("lobpcg", (1,))
+    residual = fields["residual_rel"] * solver_module._inf_norm(matrix.column)
+    assert fields["residual_rel"] > solver_module.RESIDUAL_RTOL
+    assert f"residual {residual:.3e}" in str(raised.value)
+    assert "solver: path=lobpcg iterations=(1,)" in record.getMessage()
+
+
 @pytest.mark.parametrize("cost, path", [("abs", "lobpcg"), ("sin2", "closed_form")])
 def test_solver_logs_one_debug_record(caplog, capsys, cost, path):
     argv = ["state", "--kind", "optimal", "--cost", cost, "--n", "30"]
