@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import ClockState, _check_n_ions
+from .states import ClockState, _check_n_ions, _is_integer, _root_binomial_weights
 
 CANONICAL_LABELS = ("sin2", "abs", "abs_sin_half", "neg_delta")
 
@@ -224,8 +224,8 @@ def canonical_cost(label: str, order: int) -> CostFunction:
     -------
     CostFunction
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    if not _is_integer(order) or order < 1:
+        raise ValueError(f"order must be a positive integer, got {order!r}")
     if label == "sin2":
         return CostFunction(2.0, np.array([2.0]), "sin2")
     k = np.arange(1, order + 1, dtype=float)
@@ -292,17 +292,13 @@ def product_cost_closed_form(n_ions: int) -> float:
     evaluated without cancellation as
     sum_i (sqrt(p_i) - sqrt(p_{i+1}))^2 + p_0 + p_N, where
     sqrt(p_i) - sqrt(p_{i+1}) = sqrt(p_i) (2i+1-N) / ((i+1)(1 + sqrt((N-i)/(i+1)))).
-    sqrt(p_i) is the running product of the ratios sqrt(p_{i+1}/p_i) outwards
-    from i = N//2, divided by its norm: no log-binomials cancel, and the
-    cost, which decays like 1/N, keeps its digits at every N.
+    sqrt(p_i) comes from the running products of ``_root_binomial_weights``:
+    no log-binomials cancel, and the cost, which decays like 1/N, keeps its
+    digits at every N.
     """
     _check_n_ions(n_ions)
     i = np.arange(n_ions, dtype=float)
     ratio = np.sqrt((n_ions - i) / (i + 1.0))
-    mid = n_ions // 2
-    root_p = np.ones(n_ions + 1)
-    root_p[mid + 1 :] = np.cumprod(ratio[mid:])
-    root_p[:mid] = np.cumprod(1.0 / ratio[:mid][::-1])[::-1]
-    root_p /= np.linalg.norm(root_p)
+    root_p = _root_binomial_weights(n_ions)
     steps = root_p[:-1] * (2.0 * i + 1.0 - n_ions) / ((i + 1.0) * (1.0 + ratio))
     return float(steps @ steps + math.ldexp(2.0, -n_ions))  # + p_0 + p_N

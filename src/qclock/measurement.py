@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostFunction, _deficit_steps, _sum_of_squares, evaluate_cost, mean_cost_bound
-from .states import ClockState, _check_n_ions
+from .states import ClockState, _check_n_ions, _is_integer
 
 TWO_PI = 2.0 * np.pi
 SINGULARITY_WINDOW = 1e-6
@@ -180,13 +180,15 @@ def _uniform_grid(grid_size: int) -> np.ndarray:
 
 
 def _check_grid(grid_size: int, minimum: int) -> None:
-    if grid_size < minimum:
-        raise ValueError(f"grid_size must be at least {minimum}, got {grid_size}")
+    if not _is_integer(grid_size) or grid_size < minimum:
+        raise ValueError(f"grid_size must be an integer >= {minimum}, got {grid_size!r}")
 
 
 def _check_outcome(outcome_index: int, dim: int) -> None:
-    if not 0 <= outcome_index < dim:
-        raise ValueError(f"outcome_index must be in 0..{dim - 1}, got {outcome_index}")
+    if not _is_integer(outcome_index) or not 0 <= outcome_index < dim:
+        raise ValueError(
+            f"outcome_index must be an integer in 0..{dim - 1}, got {outcome_index!r}"
+        )
 
 
 def posterior(state: ClockState, outcome_index: int, grid_size: int) -> PosteriorGrid:

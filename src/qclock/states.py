@@ -7,7 +7,6 @@ objects: real nonnegative amplitude vectors of unit Euclidean norm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,18 +82,27 @@ def _check_n_ions(n_ions: int) -> None:
         raise ValueError(f"n_ions must be a positive integer, got {n_ions!r}")
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    """ln(k!) for k = 0..n."""
-    return np.array([math.lgamma(k + 1) for k in range(n + 1)])
+def _root_binomial_weights(n: int) -> np.ndarray:
+    """sqrt(C(N, i) / 2^N) for i = 0..N, exactly symmetric in i <-> N - i.
+
+    The upper half is the running product of the ratios
+    sqrt((N - i) / (i + 1)) from the middle outwards, mirrored onto the
+    lower half and scaled to unit norm. No large binomial is formed and no
+    log-binomials cancel, so the entries keep their digits at any N.
+    """
+    i = np.arange((n + 1) // 2, n, dtype=float)
+    upper = np.cumprod(np.concatenate(([1.0], np.sqrt((n - i) / (i + 1.0)))))
+    weights = np.concatenate((upper[::-1], upper[1 - n % 2 :]))
+    return weights * np.sqrt(1.0 / (weights @ weights))
 
 
 def product_state(n_ions: int) -> ClockState:
     """State obtained by preparing every ion in (|0> + |1>)/sqrt(2).
 
     On the symmetric subspace the amplitudes are square roots of binomial
-    weights, a_m = sqrt(C(N, m)) / 2^(N/2). The binomials are evaluated in
-    the log domain (C(N, N/2) overflows direct floating-point paths near
-    N ~ 1030), then the vector is renormalized to cancel rounding drift.
+    weights, a_m = sqrt(C(N, m)) / 2^(N/2), built as running products of
+    their ratios (C(N, N/2) overflows direct floating-point paths near
+    N ~ 1030).
 
     Parameters
     ----------
@@ -106,12 +114,7 @@ def product_state(n_ions: int) -> ClockState:
     ClockState
     """
     _check_n_ions(n_ions)
-    log_fact = _log_factorials(n_ions)
-    # group the two factorial terms first so a_m = a_{N-m} holds exactly
-    log_binom = log_fact[-1] - (log_fact + log_fact[::-1])
-    amps = np.exp(0.5 * log_binom - 0.5 * n_ions * np.log(2.0))
-    amps /= np.linalg.norm(amps)
-    return ClockState(n_ions, amps)
+    return ClockState(n_ions, _root_binomial_weights(n_ions))
 
 
 def phase_state(n_ions: int) -> ClockState:

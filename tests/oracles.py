@@ -157,21 +157,32 @@ def smallest_eigenpair_mp(entries: np.ndarray, dps: int = 40, steps: int = 3):
         return float(value), unit, mpmath.sqrt(mpmath.fdot(final, final))
 
 
+def _binomial_weights_mp(n: int) -> list:
+    """p_i = C(N, i)/2^N, i = 0..N, at the caller's mpmath precision.
+
+    From the recurrence p_{i+1} = p_i (N - i)/(i + 1) from p_0 = 2^-N, so no
+    big binomial is formed; each step rounds at 10^-dps.
+    """
+    weights = [mpmath.mpf(2) ** -n]
+    for i in range(n):
+        weights.append(weights[-1] * (n - i) / (i + 1))
+    return weights
+
+
 def product_cost_mp(n: int, dps: int = 40) -> float:
     """2 [1 - sum_i sqrt(p_i p_{i+1})] for p_i = C(N, i)/2^N, in mpmath.
 
-    The p_i come from the recurrence p_{i+1} = p_i (N - i)/(i + 1) from
-    p_0 = 2^-N, so no big binomial is formed; each step rounds at 10^-dps,
-    far below the 1/N the cancellation leaves.
+    The rounding of the p_i lies far below the 1/N the cancellation leaves.
     """
     with mpmath.workdps(dps):
-        p = mpmath.mpf(2) ** -n
-        terms = []
-        for i in range(n):
-            following = p * (n - i) / (i + 1)
-            terms.append(mpmath.sqrt(p * following))
-            p = following
-        return float(2 * (1 - mpmath.fsum(terms)))
+        p = _binomial_weights_mp(n)
+        return float(2 * (1 - mpmath.fsum(mpmath.sqrt(a * b) for a, b in zip(p, p[1:]))))
+
+
+def product_amplitudes_mp(n: int, dps: int = 40) -> np.ndarray:
+    """Product-state amplitudes sqrt(C(N, m)/2^N), each rounded once to float."""
+    with mpmath.workdps(dps):
+        return np.array([float(mpmath.sqrt(p)) for p in _binomial_weights_mp(n)])
 
 
 def cost_at_outcome_mp(w0: float, coefficients, outcome: int, dim: int, t: float,

@@ -384,18 +384,22 @@ def test_gnuplot_companion_script(capsys, tmp_path):
 # scan's again when the mean cost and the RMS error moved to the shared
 # deficit steps; every moved value is now within 1 ulp of mpmath. The
 # simulate digests were re-pinned when the sampler drew the lattice error at
-# the offset in one spacing instead of the outcome at the true time.
+# the offset in one spacing instead of the outcome at the true time. The
+# product-state posterior and the scan JSON were re-pinned when the product
+# amplitudes moved from log-binomials to running products; the posterior now
+# prints what correctly rounded amplitudes print, and the two scan values
+# that moved equal their mpmath references.
 GOLDEN_COMMANDS = [
     (["state", "--kind", "optimal", "--cost", "abs", "--n", "6"],
      "bc256ed713aef225f98ba787a4098f9586aebe94d7578a2c1c0673356dd7cdd5",
      "92452e2ff488bfa7caf65e63795399061c301554736fb2d75f560489320a7410"),
     (["posterior", "--kind", "product", "--n", "5", "--outcome", "2", "--grid", "30"],
-     "56e75da3cd4c7b648e90d8b4cb586e2f0490818e1d641a79ee6dc5c5a36c6e86",
-     "2bc171554b189a4622cd68b7fcd06bbbdb7ad7a70ca4d21ea8db8a247c1e8d8a"),
+     "85b6f0b7e8c6fe3bdc2f755ab3a1498d2076958e0e8cc3764257621d548e00c7",
+     "7ff44dc2b4ffcc7be2c85e992297e9cb3691f8dc8467ea0cb1a3fa31eb0b4b71"),
     (["scan", "--kinds", "product,phase,optimal,max_spread", "--cost", "sin2",
       "--n", "1:9:4"],
      "ff8bcb291571147df40b4d6e9f41181732531d36332b0f6735c47f993884abc0",
-     "a73f7f0496e3e5a32a5c23d4d61c23216262b1ee70357883eca33d3845da9c27"),
+     "4c91778549cb45ca23de4e57f5a797ab6861227597698d339ec11228440b2bcb"),
     (["simulate", "--kind", "optimal", "--cost", "sin2", "--n", "8",
       "--samples", "500", "--seed", "7"],
      "1248134a5633cd3e687b2f382f34feb3c5d535994096e5195bb6ae7fb7594bc6",
@@ -419,14 +423,19 @@ def test_cli_golden_outputs(capsys, argv, csv_sha256, json_sha256, fmt):
     assert digest == (csv_sha256 if fmt == "csv" else json_sha256)
 
 
-def modules_loaded_after(statement):
-    code = f"import sys, qclock.cli\n{statement}\nprint(' '.join(sorted(sys.modules)))"
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, check=True,
+def run_child(*args):
+    """Run ``python *args`` with this checkout's ``src`` as the only path entry."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True,
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
     )
-    return result.stdout.split()
+
+
+def modules_loaded_after(statement):
+    code = f"import sys, qclock.cli\n{statement}\nprint(' '.join(sorted(sys.modules)))"
+    result = run_child("-c", code)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.decode().split()
 
 
 def test_import_does_not_load_scipy_special():
@@ -489,3 +498,57 @@ def test_every_entry_point_accepts_the_same_kinds(capsys, entry, kind):
         code, out, err = run_cli(capsys, _kind_argv(entry, kind, None))
         assert (code, out) == (2, "")
         assert "--cost" in err
+
+
+# An atexit probe registered first runs last, after every handler that the
+# statements below register, and reports the frozen-object count it sees.
+FREEZE_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: sys.stderr.write('frozen=%d' % gc.get_freeze_count()))\n"
+)
+
+
+@pytest.mark.parametrize("statement, frozen", [
+    ("import qclock", False),
+    ("import qclock.cli", False),
+    ("import qclock.cli\nqclock.cli.main(['mutinfo', '--kind', 'phase', '--n', '3'])", True),
+    ("import qclock.cli\nqclock.cli.main([])\nqclock.cli.main(['state', '--kind', 'phase', "
+     "'--n', '0'])", True),
+], ids=["import-qclock", "import-cli", "main", "main-twice-failing"])
+def test_main_leaves_the_import_heap_frozen_at_exit(statement, frozen):
+    result = run_child("-c", FREEZE_PROBE + statement)
+    assert result.returncode == 0
+    count = int(result.stderr.decode().rpartition("frozen=")[2])
+    assert (count > 0) == frozen
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in GOLDEN_COMMANDS],
+                         ids=[argv[0] for argv, _, _ in GOLDEN_COMMANDS])
+def test_module_entry_point_matches_main_under_dev_mode(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    result = run_child("-X", "dev", "-W", "error", "-m", "qclock.cli", *argv)
+    assert (result.returncode, result.stdout, result.stderr) == (code, out.encode(), b"")
+    assert err == ""
+
+
+def test_files_written_by_a_command_are_complete_after_exit(capsys, tmp_path):
+    # the LOBPCG abs solves of a scan log one DEBUG record each
+    argv = ["scan", "--kinds", "optimal", "--cost", "abs", "--n", "30:31"]
+    log, script = tmp_path / "qclock.log", tmp_path / "child" / "fig.gp"
+    script.parent.mkdir()
+    code = (
+        "import logging, sys\n"
+        "handler = logging.FileHandler(sys.argv[1])\n"
+        "logging.getLogger('qclock').addHandler(handler)\n"
+        "logging.getLogger('qclock').setLevel(logging.DEBUG)\n"
+        "import qclock.cli\n"
+        "sys.exit(qclock.cli.main(sys.argv[2:]))\n"
+    )
+    result = run_child("-c", code, str(log), *argv, "--gnuplot", str(script))
+    assert result.returncode == 0
+    records = log.read_text().splitlines(keepends=True)
+    assert len(records) == 2
+    assert all(r.startswith("solver: path=lobpcg ") and r.endswith("\n") for r in records)
+    reference = tmp_path / "fig.gp"
+    assert run_cli(capsys, argv + ["--gnuplot", str(reference)])[0] == 0
+    assert script.read_bytes() == reference.read_bytes()

@@ -9,7 +9,11 @@ from qclock import (
     product_state,
 )
 
-from oracles import exact_binomial_amplitudes, random_clock_amplitudes
+from oracles import (
+    exact_binomial_amplitudes,
+    product_amplitudes_mp,
+    random_clock_amplitudes,
+)
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -40,6 +44,14 @@ def test_product_state_matches_exact_binomial_oracle(n):
         rtol=0,
         atol=1e-13,
     )
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5])
+def test_product_state_keeps_its_digits_at_large_n(n):
+    # lgamma log-binomials were 7.7e-12 and 7.7e-11 of the peak off here
+    reference = product_amplitudes_mp(n)
+    error = np.abs(product_state(n).amplitudes - reference).max()
+    assert error <= 8.0 * np.spacing(reference.max())
 
 
 @pytest.mark.parametrize("n", [3, 10, 101, 512])
