@@ -17,7 +17,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .states import ClockState, _check_n_ions, _is_integer, _root_binomial_weights
+from .states import (
+    ClockState,
+    _check_n_ions,
+    _compensated_cumsum,
+    _is_integer,
+    _root_binomial_weights,
+)
 
 CANONICAL_LABELS = ("sin2", "abs", "abs_sin_half", "neg_delta")
 
@@ -152,16 +158,6 @@ class CostMatrix:
         else:
             coupled = float(column[1:] @ _deficits(a))
         return s * _sum_of_squares(a) - 2.0 * coupled
-
-
-def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
-    """Prefix sums of x with each step's exact rounding error (TwoSum) added back."""
-    total = np.cumsum(x)
-    before, term, after = total[:-1], x[1:], total[1:]
-    added = after - before
-    errors = (before - (after - added)) + (term - added)
-    total[1:] += np.cumsum(errors)
-    return total
 
 
 def _sum_of_squares(x: np.ndarray) -> float:

@@ -17,7 +17,8 @@ zero-padded FFT and use the periodic trapezoid rule, exact for
 trigonometric polynomials of degree below the node count. Outcome
 distributions read K on the N+1 outcomes, shifted by t. One transform,
 ``_shifted_fft`` (the FFT of c_k exp(i k delta), one row per shift), gives
-every value of K, and the sampler's CDF and cost tables at 22 offsets.
+every value of K, the costs on the mean-cost grid, and the sampler's CDF
+and cost tables at 22 offsets.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostFunction, _deficit_steps, _sum_of_squares, evaluate_cost, mean_cost_bound
+from .cost import CostFunction, _deficit_steps, _sum_of_squares, mean_cost_bound
 from .states import ClockState, _check_n_ions, _is_integer
 
 TWO_PI = 2.0 * np.pi
-SINGULARITY_WINDOW = 1e-6
 _BOOLE_START = 64
 _GENOCCHI = (1.0, 1.0, 0.0, -1.0, 0.0, 3.0, 0.0, -17.0, 0.0, 155.0, 0.0, -2073.0)
 _LCM = math.lcm(*(k * k for k in range(1, _BOOLE_START)))
@@ -208,6 +208,21 @@ def posterior(state: ClockState, outcome_index: int, grid_size: int) -> Posterio
     return PosteriorGrid(outcome_index, _uniform_grid(grid_size), density)
 
 
+def _grid_offsets(n_ions: int, outcome_index: int, grid_size: int) -> np.ndarray:
+    """Integers nu = g (N+1) - j G, wrapped into (-G(N+1)/2, G(N+1)/2], g = 0..G-1.
+
+    Node g sits at t_g - t_j = 2 pi nu / (G (N+1)), so phases read from nu are exact.
+    """
+    _check_n_ions(n_ions)
+    dim = n_ions + 1
+    _check_outcome(outcome_index, dim)
+    _check_grid(grid_size, 4 * dim)
+    period = grid_size * dim
+    half = period // 2  # the arange is half - nu = half + j G - g (N+1), before the mod
+    start = half + outcome_index * grid_size
+    return half - np.arange(start, start - period, -dim, dtype=np.int64) % period
+
+
 def phase_state_posterior_closed_form(
     n_ions: int, outcome_index: int, grid_size: int
 ) -> PosteriorGrid:
@@ -217,60 +232,44 @@ def phase_state_posterior_closed_form(
 
         sin^2((N+1) T / 2) / (2 pi (N+1) sin^2(T / 2)),    T = t - t_j,
 
-    evaluated in the cancellation-free half-angle form; the removable
-    singularity at T = 0 is patched by its limit (N+1)/(2 pi). First zeros
-    sit at T = +-2*pi/(N+1), so the central peak is one outcome spacing
-    wide on each side.
+    on the exact integer offsets of the nodes, with the limit (N+1)/(2 pi)
+    at T = 0. First zeros sit at T = +-2*pi/(N+1), so the central peak is
+    one outcome spacing wide on each side.
     """
-    _check_n_ions(n_ions)
-    dim = n_ions + 1
-    _check_outcome(outcome_index, dim)
-    _check_grid(grid_size, 4 * dim)
-    grid = _uniform_grid(grid_size)
-    offsets = wrap_angle(grid - measurement_times(n_ions)[outcome_index])
-    half = 0.5 * offsets
-    singular = np.abs(offsets) < SINGULARITY_WINDOW
-    denom = np.where(singular, 1.0, np.sin(half) ** 2)
-    density = np.sin(dim * half) ** 2 / (TWO_PI * dim * denom)
-    density[singular] = dim / TWO_PI
-    return PosteriorGrid(outcome_index, grid, np.maximum(density, 0.0))
+    nu = _grid_offsets(n_ions, outcome_index, grid_size)
+    dim, half = n_ions + 1, grid_size // 2
+    wave = np.sin(np.pi * ((nu + half) % grid_size - half) / grid_size)
+    ends = np.sin(np.pi * nu / (grid_size * dim))
+    ratio = np.divide(wave, ends, out=np.full(grid_size, float(dim)), where=nu != 0)
+    return PosteriorGrid(outcome_index, _uniform_grid(grid_size), ratio**2 / (TWO_PI * dim))
 
 
 def optimal_state_posterior_closed_form(
     n_ions: int, outcome_index: int, grid_size: int
 ) -> PosteriorGrid:
-    """Closed-form posterior profile of the sine-profile optimal state.
+    """Closed-form posterior of the sin^2 optimum, a_m ~ sin(pi (m+1)/(N+2)).
 
-    Evaluates the kernel
+    Summing the geometric series of the sine state gives the density
 
-        cos^2((N+1) T / 2) cos^2(T / 2)
-        / [sin^2((T + b)/2) sin^2((T - b)/2)],    b = pi/(N+1),
+        sin^2(theta) sin^2((N+2) x) / (4 pi (N+2) sin^2(x) sin^2(y)),
 
-    whose removable 0/0 points at T = +-b are patched by the analytic
-    limit (N+1)^2 / (4 sin^2(b/2)). The overall normalization is
-    recomputed numerically on the grid rather than taken from the
-    approximate (N+1)^-3 prefactor. The central peak extends to its first
-    true zeros at T = +-3*pi/(N+1); the tails fall off like
-    1/(N^3 T^4) between the peak and T near pi.
+    theta = pi/(N+2), x = (T - theta)/2, y = (T + theta)/2, T = t - t_j, on
+    the exact integer offsets of the nodes. It integrates to 1 and takes the
+    limit (N+2)/(4 pi) at T = +-theta. Its first zeros are at T = +-3 theta;
+    the tails fall off like 1/(N^3 T^4) up to T near pi.
     """
-    _check_n_ions(n_ions)
-    dim = n_ions + 1
-    _check_outcome(outcome_index, dim)
-    _check_grid(grid_size, 4 * dim)
-    grid = _uniform_grid(grid_size)
-    offsets = wrap_angle(grid - measurement_times(n_ions)[outcome_index])
-    beta = np.pi / dim
-    singular = (np.abs(offsets - beta) < SINGULARITY_WINDOW) | (
-        np.abs(offsets + beta) < SINGULARITY_WINDOW
-    )
-    plus = np.sin(0.5 * (offsets + beta)) ** 2
-    minus = np.sin(0.5 * (offsets - beta)) ** 2
-    denom = np.where(singular, 1.0, plus * minus)
-    kernel = np.cos(0.5 * dim * offsets) ** 2 * np.cos(0.5 * offsets) ** 2 / denom
-    kernel[singular] = dim * dim / (4.0 * np.sin(0.5 * beta) ** 2)
-    kernel = np.maximum(kernel, 0.0)
-    density = kernel / (kernel.sum() * (TWO_PI / grid_size))
-    return PosteriorGrid(outcome_index, grid, density)
+    nu = _grid_offsets(n_ions, outcome_index, grid_size)
+    dim, top = n_ions + 1, n_ions + 2
+    period = grid_size * dim
+    # (N+2) x = pi (s - G(N+1)/2) / (G(N+1)) for s = nu (N+2) mod G(N+1),
+    # reduced without forming nu (N+2), which can pass 2^63
+    wave = np.sin(np.pi * ((dim * (nu % grid_size) + nu) % period - period / 2) / period)
+    # 2 nu (N+2) is exact in float wherever it is within 2^53 of +-G(N+1)
+    twice, scale = 2.0 * top * nu, 2.0 * period * top
+    ends = np.sin(np.pi * (twice - period) / scale) * np.sin(np.pi * (twice + period) / scale)
+    limit = np.full(grid_size, float(top))
+    ratio = np.divide(math.sin(np.pi / top) * wave, ends, out=limit, where=np.abs(twice) != period)
+    return PosteriorGrid(outcome_index, _uniform_grid(grid_size), ratio**2 / (4.0 * np.pi * top))
 
 
 def mean_cost_direct(state: ClockState, f: CostFunction, grid_size: int | None = None) -> float:
@@ -287,7 +286,7 @@ def mean_cost_direct(state: ClockState, f: CostFunction, grid_size: int | None =
         grid_size = minimum
     _check_grid(grid_size, minimum)
     kernel = _kernel_on_grid(state.amplitudes, grid_size)
-    costs = evaluate_cost(f, _uniform_grid(grid_size))
+    costs = f.w0 - _shifted_fft(np.pad(f.coefficients, (1, 0)), grid_size, 0.0).real
     return float(state.dim * (kernel @ costs) / grid_size)
 
 

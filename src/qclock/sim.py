@@ -57,7 +57,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cost import CANONICAL_LABELS, CostFunction, _compensated_cumsum, canonical_cost
+from .cost import CANONICAL_LABELS, CostFunction, canonical_cost
 from .measurement import (
     TWO_PI,
     estimation_report,
@@ -69,6 +69,7 @@ from .solver import SolverConvergenceError, optimal_state
 from .states import (
     ClockState,
     _check_n_ions,
+    _compensated_cumsum,
     _is_integer,
     max_energy_spread_state,
     phase_state,

@@ -7,6 +7,7 @@ objects: real nonnegative amplitude vectors of unit Euclidean norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,16 @@ def _check_n_ions(n_ions: int) -> None:
         raise ValueError(f"n_ions must be a positive integer, got {n_ions!r}")
 
 
+def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
+    """Prefix sums of x with each step's exact rounding error (TwoSum) added back."""
+    total = np.cumsum(x)
+    before, term, after = total[:-1], x[1:], total[1:]
+    added = after - before
+    errors = (before - (after - added)) + (term - added)
+    total[1:] += np.cumsum(errors)
+    return total
+
+
 def _root_binomial_weights(n: int) -> np.ndarray:
     """sqrt(C(N, i) / 2^N) for i = 0..N, exactly symmetric in i <-> N - i.
 
@@ -143,12 +154,12 @@ def energy_stats(state: ClockState) -> EnergyStats:
     """Mean energy, energy spread, and the time-resolution bound 1/N.
 
     With E_m = m the mean is sum_m m a_m^2 and the spread is
-    sqrt(sum_m m^2 a_m^2 - mean^2); roundoff-negative variance is clamped
-    to zero so energy eigenstates report an exact zero spread.
+    sqrt(sum_m (m - mean)^2 a_m^2), summed with compensation. The centred
+    form does not cancel (E[m^2] - mean^2 is ~eps N^2 off), and an energy
+    eigenstate reports an exact zero spread.
     """
     weights = state.amplitudes**2
     m = np.arange(state.dim, dtype=float)
     mean = float(m @ weights)
-    variance = float((m * m) @ weights) - mean * mean
-    stddev = float(np.sqrt(max(variance, 0.0)))
-    return EnergyStats(mean, stddev, 1.0 / state.n_ions)
+    variance = float(_compensated_cumsum((m - mean) ** 2 * weights)[-1])
+    return EnergyStats(mean, math.sqrt(variance), 1.0 / int(state.n_ions))

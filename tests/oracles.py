@@ -203,6 +203,39 @@ def cost_at_outcome_mp(w0: float, coefficients, outcome: int, dim: int, t: float
         return float(total)
 
 
+def phase_posterior_mp(n: int, offset: int, grid_size: int, dps: int = 30) -> float:
+    """Phase-state posterior density at T = 2 pi offset / (G (N+1)), in mpmath.
+
+    sin^2((N+1) T/2) / (2 pi (N+1) sin^2(T/2)), with T/2 = pi offset / (G (N+1))
+    formed from the exact integers; offset 0 takes the limit (N+1)/(2 pi).
+    """
+    dim = n + 1
+    with mpmath.workdps(dps):
+        if offset == 0:
+            return float(dim / (2 * mpmath.pi))
+        half = mpmath.pi * offset / (grid_size * dim)
+        return float(mpmath.sin(dim * half) ** 2 / (2 * mpmath.pi * dim * mpmath.sin(half) ** 2))
+
+
+def sine_state_posterior_mp(n: int, offset: int, grid_size: int, dps: int = 30) -> float:
+    """Posterior density of a_m ~ sin(pi (m+1)/(N+2)) at T = 2 pi offset / (G (N+1)).
+
+    sin^2(theta) sin^2((N+2) x) / (4 pi (N+2) sin^2(x) sin^2(y)), theta =
+    pi/(N+2), x = (T - theta)/2 = pi p / (2 G (N+1)(N+2)) and y likewise with
+    q, for the exact integers p, q = 2 offset (N+2) -+ G (N+1). T = +-theta
+    (p or q = 0) take the limit (N+2)/(4 pi).
+    """
+    top, period = n + 2, grid_size * (n + 1)
+    p, q = 2 * offset * top - period, 2 * offset * top + period
+    with mpmath.workdps(dps):
+        if p == 0 or q == 0:
+            return float(top / (4 * mpmath.pi))
+        x = mpmath.pi * p / (2 * period * top)
+        y = mpmath.pi * q / (2 * period * top)
+        numerator = mpmath.sin(mpmath.pi / top) ** 2 * mpmath.sin(top * x) ** 2
+        return float(numerator / (4 * mpmath.pi * top * mpmath.sin(x) ** 2 * mpmath.sin(y) ** 2))
+
+
 def outcome_probs_direct(amplitudes, t: float) -> np.ndarray:
     """Born probabilities from a direct complex double sum (no FFT)."""
     dim = len(amplitudes)

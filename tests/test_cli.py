@@ -388,11 +388,14 @@ def test_gnuplot_companion_script(capsys, tmp_path):
 # product-state posterior and the scan JSON were re-pinned when the product
 # amplitudes moved from log-binomials to running products; the posterior now
 # prints what correctly rounded amplitudes print, and the two scan values
-# that moved equal their mpmath references.
+# that moved equal their mpmath references. The abs state JSON was re-pinned
+# when energy_stats moved to the centred variance: its energy_stddev went
+# 1.5366150769633369 -> 1.5366150769633373, and mpmath of the stored
+# amplitudes gives 1.53661507696333742.
 GOLDEN_COMMANDS = [
     (["state", "--kind", "optimal", "--cost", "abs", "--n", "6"],
      "bc256ed713aef225f98ba787a4098f9586aebe94d7578a2c1c0673356dd7cdd5",
-     "92452e2ff488bfa7caf65e63795399061c301554736fb2d75f560489320a7410"),
+     "fcd8621a7562c52b5e6318601beacee4cab62d60809754313e844eb57f8a110a"),
     (["posterior", "--kind", "product", "--n", "5", "--outcome", "2", "--grid", "30"],
      "85b6f0b7e8c6fe3bdc2f755ab3a1498d2076958e0e8cc3764257621d548e00c7",
      "7ff44dc2b4ffcc7be2c85e992297e9cb3691f8dc8467ea0cb1a3fa31eb0b4b71"),

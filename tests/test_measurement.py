@@ -31,24 +31,20 @@ from qclock import (
     state_for,
     wrap_angle,
 )
-from qclock.measurement import _alternating_inverse_squares, _kernel_on_grid
+from qclock.measurement import _alternating_inverse_squares, _grid_offsets, _kernel_on_grid
 
 from oracles import (
     outcome_probs_direct,
+    phase_posterior_mp,
     random_clock_amplitudes,
     rayleigh_quotient_mp,
+    sine_state_posterior_mp,
     wrapped_rms_series,
     wrapped_rms_series_mp,
 )
 
 TWO_PI = 2.0 * np.pi
 SIN2 = canonical_cost("sin2", 1)
-
-
-def sine_profile_state(n):
-    m = np.arange(n + 1)
-    a = np.sin(np.pi * (m + 0.5) / (n + 1))
-    return ClockState(n, a / np.linalg.norm(a))
 
 
 def test_wrap_angle_conventions():
@@ -265,53 +261,117 @@ def test_phase_closed_form_peak_is_patched_limit():
 
 
 def test_optimal_closed_form_zeros_and_patch():
-    n, grid_size = 20, 840  # step pi/420 puts 3*pi/(N+1) = pi/7 on the grid
+    # G = 2 (N+2)(N+1) puts T = +-theta and +-3 theta, theta = pi/(N+2), on
+    # the grid: the removable points take their limit, the zeros are exact
+    n, grid_size = 20, 924
     closed = optimal_state_posterior_closed_form(n, 0, grid_size)
-    offsets = wrap_angle(closed.grid)
-    first_zero = int(np.argmin(np.abs(offsets - 3.0 * np.pi / (n + 1))))
-    assert closed.density[first_zero] <= 1e-12 * closed.density.max()
-    patched = int(np.argmin(np.abs(offsets - np.pi / (n + 1))))
-    assert closed.density[patched] > 0.1 * closed.density.max()
+    offsets = _grid_offsets(n, 0, grid_size)
+    for k in (-3, 3):
+        assert closed.density[offsets == k * (n + 1) ** 2] == 0.0
+    limit = (n + 2) / (4.0 * np.pi)
+    for k in (-1, 1):
+        assert abs(closed.density[offsets == k * (n + 1) ** 2] - limit) <= 2.0 * np.spacing(limit)
     h = TWO_PI / grid_size
-    assert abs(closed.density.sum() * h - 1.0) <= 1e-6
+    assert abs(closed.density.sum() * h - 1.0) <= 1e-14
 
 
-def test_sine_profile_posterior_equals_closed_form_exactly():
-    # The closed-form kernel is the exact posterior of the sine-profile
-    # state; Born rule and kernel must agree to machine precision.
-    n, j, grid_size = 20, 10, 840
-    born = posterior(sine_profile_state(n), j, grid_size)
-    closed = optimal_state_posterior_closed_form(n, j, grid_size)
-    assert np.max(np.abs(born.density - closed.density)) <= 1e-10
-
-
-@pytest.mark.parametrize("n,tolerance", [(20, 0.05), (50, 0.02)])
-def test_optimal_posterior_near_closed_form(n, tolerance):
-    # The kernel describes the sine profile, which approximates the true
-    # optimum; at N = 20 the peak mismatch is ~4% of the peak, shrinking
-    # with N (below 2% by N = 50).
+@pytest.mark.parametrize("n", [20, 50, 1000])
+def test_optimal_posterior_equals_closed_form_exactly(n):
+    # The closed form is the kernel of the sin2 optimum, the sine state;
+    # Born rule and kernel agree to the FFT posterior's own roundoff.
     j = n // 2
     grid_size = 40 * (n + 1)
     born = posterior(state_for("optimal", n, "sin2"), j, grid_size)
     closed = optimal_state_posterior_closed_form(n, j, grid_size)
-    offsets = wrap_angle(born.grid - measurement_times(n)[j])
-    beta = np.pi / (n + 1)
-    away = np.abs(np.abs(offsets) - beta) > 0.05
-    sup = np.max(np.abs(born.density - closed.density)[away])
-    assert sup <= tolerance * closed.density.max()
+    assert np.max(np.abs(born.density - closed.density)) <= 1e-13 * closed.density.max()
 
 
 def test_optimal_closed_form_prefactor_matches_cubic_law():
-    # numeric normalization stays within 2% of pi / (4 (N+1)^3) at N = 20
-    n, grid_size = 20, 840
+    # At T = 0, x = -theta/2 and y = theta/2, so the peak is
+    # sin^2(theta) / (4 pi (N+2) sin^4(theta/2)) = cot^2(theta/2) / (pi (N+2)).
+    # Its prefactor sin^2(theta)/(4 pi (N+2)) is within 2% of pi/(4 (N+2)^3)
+    # at N = 20; pi/(4 (N+1)^3) misses it by 13%.
+    n, grid_size = 20, 924
+    theta = np.pi / (n + 2)
     closed = optimal_state_posterior_closed_form(n, 0, grid_size)
-    offsets = wrap_angle(closed.grid)
-    beta = np.pi / (n + 1)
-    kernel_peak = (n + 1) ** 2 / (4.0 * np.sin(0.5 * beta) ** 2)  # patched value at +-beta
-    calibrated_prefactor = closed.density[int(np.argmin(np.abs(offsets - beta)))] / kernel_peak
-    assert abs(calibrated_prefactor - np.pi / (4.0 * (n + 1) ** 3)) <= 0.02 * np.pi / (
-        4.0 * (n + 1) ** 3
-    )
+    peak = 1.0 / (np.tan(theta / 2.0) ** 2 * np.pi * (n + 2))
+    assert closed.density.max() == closed.density[0]
+    assert abs(closed.density[0] - peak) <= 4.0 * np.spacing(peak)
+    prefactor = closed.density[0] * np.sin(theta / 2.0) ** 4
+    cubic = np.pi / (4.0 * (n + 2) ** 3)
+    assert abs(prefactor - cubic) <= 0.02 * cubic
+
+
+@pytest.mark.parametrize("n", [3, 20])
+def test_closed_form_oracles_match_direct_sums(n):
+    # The mpmath closed forms against K = |sum_m a_m exp(-i m T)|^2 / (N+1),
+    # density (N+1) K / (2 pi), summed directly, removable points included
+    grid_size = 4 * (n + 2)
+    period = grid_size * (n + 1)
+    with mpmath.workdps(30):
+        sine = [mpmath.sin(mpmath.pi * (m + 1) / (n + 2)) for m in range(n + 1)]
+        sine_norm = mpmath.fsum(a * a for a in sine)
+        for offset in range(-period // 2 + n + 1, period // 2 + 1, n + 1):
+            t = 2 * mpmath.pi * offset / period
+            phases = [mpmath.expj(-m * t) for m in range(n + 1)]
+            phase_direct = abs(mpmath.fsum(phases)) ** 2 / (2 * mpmath.pi * (n + 1))
+            sine_direct = abs(mpmath.fdot(sine, phases)) ** 2 / (2 * mpmath.pi * sine_norm)
+            for oracle, direct in (
+                (phase_posterior_mp, phase_direct), (sine_state_posterior_mp, sine_direct)
+            ):
+                assert math.isclose(
+                    oracle(n, offset, grid_size), float(direct), rel_tol=2**-52, abs_tol=1e-25
+                )
+
+
+@pytest.mark.parametrize("n", [20, 10**3, 10**5])
+def test_closed_forms_within_4_eps_of_peak_against_mpmath(n):
+    # G = 4 (N+2) puts theta = pi/(N+2) at the integer offset 2 (N+1); test
+    # the nodes on and next to 0, +-theta, +-3 theta and pi, and random ones
+    grid_size = 4 * (n + 2)
+    offsets = _grid_offsets(n, 0, grid_size)
+    half = grid_size * (n + 1) // 2
+    marks = [k * 2 * (n + 1) for k in (0, -1, 1, -3, 3)] + [half]
+    steps = [mark + step * (n + 1) for mark in marks for step in (-1, 0, 1)]
+    near = [half - (half - offset) % (2 * half) for offset in steps]
+    structured = np.flatnonzero(np.isin(offsets, near))
+    assert structured.size == len(set(near))
+    rng = np.random.default_rng(n)
+    nodes = np.union1d(structured, rng.choice(grid_size, 40, replace=False))
+    for closed_form, oracle in (
+        (phase_state_posterior_closed_form, phase_posterior_mp),
+        (optimal_state_posterior_closed_form, sine_state_posterior_mp),
+    ):
+        density = closed_form(n, 0, grid_size).density
+        peak = oracle(n, 0, grid_size)
+        for g in nodes:
+            reference = oracle(n, int(offsets[g]), grid_size)
+            assert abs(density[g] - reference) <= 4.0 * np.finfo(float).eps * peak
+
+
+@st.composite
+def grid_offset_cases(draw):
+    n = draw(st.integers(1, 10**6))
+    grid_size = draw(st.integers(4 * (n + 1), 16 * (n + 1)))
+    outcome = draw(st.integers(0, n))
+    nodes = draw(st.lists(st.integers(0, grid_size - 1), min_size=1, max_size=20))
+    return n, outcome, grid_size, nodes
+
+
+@settings(max_examples=20, deadline=None)
+@example((10**6, 10**6, 16 * (10**6 + 1), [0, 1, 8 * (10**6 + 1), 16 * (10**6 + 1) - 1]))
+@given(grid_offset_cases())
+def test_grid_offsets_match_integer_arithmetic(case):
+    n, outcome, grid_size, nodes = case
+    period = grid_size * (n + 1)
+    offsets = _grid_offsets(n, outcome, grid_size)
+    assert offsets.dtype == np.int64 and offsets.shape == (grid_size,)
+    for g in nodes:
+        # t_g - t_j = 2 pi (g/G - j/(N+1)) = 2 pi (g (N+1) - j G) / period
+        nu = (g * (n + 1) - outcome * grid_size) % period
+        if 2 * nu > period:
+            nu -= period
+        assert int(offsets[g]) == nu
 
 
 def _tail_window_mean(n, lo, hi, grid_size=4096):
@@ -356,11 +416,12 @@ def test_mean_cost_direct_optimal_state_matches_eigenvalue():
 
 
 def test_mean_cost_direct_saturates_bound_for_all_combinations():
-    for label in ("sin2", "abs", "neg_delta"):
-        f = canonical_cost(label, 20)
-        for kind in ("product", "phase", "optimal", "max_spread"):
-            state = state_for(kind, 20, label)
-            assert abs(mean_cost_direct(state, f) - mean_cost_bound(state, f)) <= 1e-9
+    for n in (20, 2000):
+        for label in ("sin2", "abs", "abs_sin_half", "neg_delta"):
+            f = canonical_cost(label, n)
+            for kind in ("product", "phase", "optimal", "max_spread"):
+                state = state_for(kind, n, label)
+                assert abs(mean_cost_direct(state, f) - mean_cost_bound(state, f)) <= 1e-9
 
 
 def test_mean_cost_direct_rejects_coarse_grid():

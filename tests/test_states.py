@@ -91,6 +91,15 @@ def test_product_state_energy_spread(n):
     assert stats.resolution_bound == 1.0 / n
 
 
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_product_state_energy_spread_keeps_its_digits_at_large_n(n):
+    # E[m^2] - mean^2 was 1.9e-11 and 1.2e-10 relative off here
+    stats = energy_stats(product_state(n))
+    expected = np.sqrt(n) / 2.0
+    assert abs(stats.energy_stddev - expected) <= 4.0 * np.spacing(expected)
+    assert all(type(value) is float for value in vars(stats).values())
+
+
 @pytest.mark.parametrize("n", [2, 4, 31])
 def test_max_spread_state_energy_spread(n):
     stats = energy_stats(max_energy_spread_state(n))
