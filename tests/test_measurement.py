@@ -47,6 +47,12 @@ TWO_PI = 2.0 * np.pi
 SIN2 = canonical_cost("sin2", 1)
 
 
+def sine_profile_state(n, shift, period):
+    # a_m ~ sin(pi (m + shift) / period), normalised
+    a = np.sin(np.pi * (np.arange(n + 1) + shift) / period)
+    return ClockState(n, a / np.linalg.norm(a))
+
+
 def test_wrap_angle_conventions():
     assert wrap_angle(0.0) == 0.0
     assert wrap_angle(np.pi) == np.pi
@@ -284,6 +290,28 @@ def test_optimal_posterior_equals_closed_form_exactly(n):
     born = posterior(state_for("optimal", n, "sin2"), j, grid_size)
     closed = optimal_state_posterior_closed_form(n, j, grid_size)
     assert np.max(np.abs(born.density - closed.density)) <= 1e-13 * closed.density.max()
+
+
+def test_sine_profile_posterior_equals_closed_form_exactly():
+    # The sine state a_m ~ sin(pi (m+1)/(N+2)), built here by hand rather
+    # than by the eigensolver, has the closed form as its exact posterior.
+    n, j, grid_size = 20, 10, 840
+    born = posterior(sine_profile_state(n, 1.0, n + 2), j, grid_size)
+    closed = optimal_state_posterior_closed_form(n, j, grid_size)
+    assert np.max(np.abs(born.density - closed.density)) <= 1e-13 * closed.density.max()
+
+
+@pytest.mark.parametrize("n,tolerance", [(20, 0.05), (50, 0.02)])
+def test_optimal_posterior_near_closed_form(n, tolerance):
+    # The half-integer profile a_m ~ sin(pi (m+1/2)/(N+1)) approximates the
+    # sin2 optimum: its posterior misses the optimum's closed form by ~4% of
+    # the peak at N = 20, shrinking with N (below 2% by N = 50).
+    j = n // 2
+    grid_size = 40 * (n + 1)
+    born = posterior(sine_profile_state(n, 0.5, n + 1), j, grid_size)
+    closed = optimal_state_posterior_closed_form(n, j, grid_size)
+    sup = np.max(np.abs(born.density - closed.density))
+    assert sup <= tolerance * closed.density.max()
 
 
 def test_optimal_closed_form_prefactor_matches_cubic_law():
