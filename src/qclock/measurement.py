@@ -18,7 +18,9 @@ trigonometric polynomials of degree below the node count. Outcome
 distributions read K on the N+1 outcomes, shifted by t. One transform,
 ``_shifted_fft`` (the FFT of c_k exp(i k delta), one row per shift), gives
 every value of K, the costs on the mean-cost grid, and the sampler's CDF
-and cost tables at 22 offsets.
+and cost tables at 22 offsets. One cost evaluator on it, ``_cost_on_grid``,
+does not cancel near zero error; the mean-cost grid and the sampler's cost
+table read it. The posterior's phases come from the integers k j mod (N+1).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostFunction, _deficit_steps, _sum_of_squares, mean_cost_bound
-from .states import ClockState, _check_n_ions, _is_integer
+from .states import ClockState, _check_n_ions, _compensated_cumsum, _is_integer
 
 TWO_PI = 2.0 * np.pi
 _BOOLE_START = 64
@@ -161,6 +163,34 @@ def _kernel_on_grid(amplitudes: np.ndarray, grid_size: int, shift=0.0) -> np.nda
     return (amp.real**2 + amp.imag**2) / amplitudes.size
 
 
+def _cost_on_grid(f: CostFunction, size: int, shift=0.0) -> np.ndarray:
+    """f(2*pi*g/size - shift), g = 0..size-1, one row per shift; needs size > K.
+
+    Every cosine sum sum_k c_k cos(k x) on the grid is Re FFT_g(c_k e^{i k shift}),
+    a row of ``_shifted_fft`` per shift, exact since no frequency aliases.
+    f is summed in two forms and each entry keeps the one with the smaller
+    error bound (only the real parts of the transforms are kept):
+    w0 - sum_k w_k cos(k x), ~eps W off for W = sum_k w_k, and
+    (w0 - W) + (1 - cos x) E(x), ~eps (1 - cos x) E(0) off, where
+    E(x) = sum_k w_k (1 - cos k x) / (1 - cos x) = e_0 + 2 sum_k e_k cos(k x)
+    with e_k = sum_{j>k} (j - k) w_j >= 0 and E(0) = sum_k k^2 w_k. Near
+    x = 0 the second does not cancel; the first loses ~eps W / f there:
+    1e-8 relative for the sin2 cost on the N+1 = 301 lattice, and 2e-8 in
+    the sin2 optimum's ``mean_cost_direct`` at N = 10^5.
+    """
+    w = f.coefficients
+    direct = f.w0 - _shifted_fft(np.pad(w, (1, 0)), size, shift).real
+    # e_{k-1} - e_k = sum_{j>=k} w_j: two compensated suffix sums
+    e = _compensated_cumsum(_compensated_cumsum(w[::-1]))[::-1]
+    e[1:] *= 2.0
+    g = np.arange(size)
+    lattice = np.where(2 * g > size, g - size, g) * (TWO_PI / size)
+    versine = 2.0 * np.sin(0.5 * np.subtract.outer(lattice, shift).T) ** 2
+    near = math.fsum([f.w0, *-w]) + versine * _shifted_fft(e, size, shift).real
+    curvature = float(np.arange(1.0, w.size + 1.0) ** 2 @ w)
+    return np.where(versine * curvature < w.sum(), near, direct)
+
+
 def outcome_distribution(state: ClockState, t: float) -> OutcomeDistribution:
     """Born-rule outcome probabilities P(t_j | t) for a true time t.
 
@@ -197,13 +227,15 @@ def posterior(state: ClockState, outcome_index: int, grid_size: int) -> Posterio
     With a uniform prior, P(t | t_j) is proportional to P(t_j | t); the
     normalization is recomputed on the grid by the periodic trapezoid
     rule (exact here, since P(t_j | t) is a degree-N trigonometric
-    polynomial and the grid resolves it).
+    polynomial and the grid resolves it). The phases exp(i k t_j) come
+    from the residues k j mod (N+1), so they do not grow with N.
     """
     dim = state.dim
     _check_outcome(outcome_index, dim)
     _check_grid(grid_size, 4 * dim)
-    t_j = measurement_times(state.n_ions)[outcome_index]
-    weight = _kernel_on_grid(state.amplitudes, grid_size, t_j)
+    residues = np.arange(dim, dtype=np.int64) * outcome_index % dim
+    phases = np.exp(1j * (TWO_PI * residues / dim))
+    weight = _kernel_on_grid(state.amplitudes * phases, grid_size)
     density = weight / (weight.sum() * (TWO_PI / grid_size))
     return PosteriorGrid(outcome_index, _uniform_grid(grid_size), density)
 
@@ -280,14 +312,14 @@ def mean_cost_direct(state: ClockState, f: CostFunction, grid_size: int | None =
     K f is a trigonometric polynomial of degree N + K, so the default grid
     of 8 (N + K) nodes makes the quadrature exact up to roundoff; the value
     then matches ``mean_cost_bound`` because the measurement attains it.
+    The costs come from ``_cost_on_grid``, which does not cancel where K peaks.
     """
     minimum = 8 * (state.n_ions + max(f.order, 1))
     if grid_size is None:
         grid_size = minimum
     _check_grid(grid_size, minimum)
     kernel = _kernel_on_grid(state.amplitudes, grid_size)
-    costs = f.w0 - _shifted_fft(np.pad(f.coefficients, (1, 0)), grid_size, 0.0).real
-    return float(state.dim * (kernel @ costs) / grid_size)
+    return float(state.dim * (kernel @ _cost_on_grid(f, grid_size)) / grid_size)
 
 
 def circular_rms_error(state: ClockState) -> float:

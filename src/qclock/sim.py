@@ -29,7 +29,9 @@ at true time delta except where u lies within roundoff (~1e-13) of a CDF
 step. The cost of the error m h - delta is likewise a trigonometric
 polynomial of degree <= N in delta, so a second table, of the cost at the
 same offsets for each of the N+1 lattice errors, gives it with the same 22
-interpolation weights instead of a K-term cosine series per sample.
+interpolation weights instead of a K-term cosine series per sample. That
+table is ``measurement._cost_on_grid``, the cancellation-free cost
+evaluator that ``mean_cost_direct`` also reads.
 
 Samples run in blocks of 2**16 // 22 on a thread pool of
 min(os.cpu_count(), blocks) workers. A block does the whole per-sample
@@ -48,7 +50,6 @@ seconds spent building the tables and sampling.
 from __future__ import annotations
 
 import logging
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -58,18 +59,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cost import CANONICAL_LABELS, CostFunction, canonical_cost
-from .measurement import (
-    TWO_PI,
-    estimation_report,
-    wrap_angle,
-    _kernel_on_grid,
-    _shifted_fft,
-)
+from .measurement import TWO_PI, estimation_report, wrap_angle, _cost_on_grid, _kernel_on_grid
 from .solver import SolverConvergenceError, optimal_state
 from .states import (
     ClockState,
     _check_n_ions,
-    _compensated_cumsum,
     _is_integer,
     max_energy_spread_state,
     phase_state,
@@ -225,35 +219,6 @@ def _barycentric_weights(x: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _cost_table(cost_fn: CostFunction, dim: int) -> np.ndarray:
-    """Cost f(m h - delta) for m = 0..N (rows) at the Chebyshev offsets delta.
-
-    Every cosine sum sum_k c_k cos(k (m h - delta)) over the nodes delta in
-    [0, h], h = 2*pi/(N+1), is Re FFT_m(c_k e^{i k delta}), a row of
-    ``_shifted_fft`` per node, exact for K <= N since no frequency aliases.
-    f is summed in two forms and each entry keeps the one with the smaller
-    error bound (only real parts are kept, no complex (22, N+1) block):
-    w0 - sum_k w_k cos(k x), ~eps W off for W = sum_k w_k, and
-    (w0 - W) + (1 - cos x) E(x), ~eps (1 - cos x) E(0) off, where
-    E(x) = sum_k w_k (1 - cos k x) / (1 - cos x) = e_0 + 2 sum_k e_k cos(k x)
-    with e_k = sum_{j>k} (j - k) w_j >= 0 and E(0) = sum_k k^2 w_k. Near
-    x = 0 the second does not cancel; the first loses ~eps W / f there,
-    1e-8 relative for the sin2 cost at N = 300.
-    """
-    w = cost_fn.coefficients
-    offsets = _node_offsets(dim)
-    direct = cost_fn.w0 - _shifted_fft(np.pad(w, (1, 0)), dim, offsets).real
-    # e_{k-1} - e_k = sum_{j>=k} w_j: two compensated suffix sums
-    e = _compensated_cumsum(_compensated_cumsum(w[::-1]))[::-1]
-    e[1:] *= 2.0
-    m = np.arange(dim)
-    lattice = np.where(2 * m > dim, m - dim, m) * (TWO_PI / dim)
-    versine = 2.0 * np.sin(0.5 * (lattice - offsets[:, None])) ** 2
-    near = math.fsum([cost_fn.w0, *-w]) + versine * _shifted_fft(e, dim, offsets).real
-    curvature = float(np.arange(1.0, w.size + 1.0) ** 2 @ w)
-    return np.ascontiguousarray(np.where(versine * curvature < w.sum(), near, direct).T)
-
-
 def _outcome_sampler(
     amplitudes: np.ndarray, cost_fn: CostFunction
 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -264,14 +229,16 @@ def _outcome_sampler(
     bisects for m = #{k : Q_k(delta) < u}, capped at N, in ceil(log2(N+2))
     table gathers: m is the outcome at the true time delta, and the lattice
     error of an outcome at any true time s h + delta. Its error m h - delta
-    is row m of ``_cost_table``, so the same weights give its cost from d
+    is row m of the cost table, ``measurement._cost_on_grid`` on the N+1
+    lattice at the same offsets, so the same weights give its cost from d
     terms, not K cosines. Each sample depends only on its own (fraction, u),
     so the kernel gives the same errors and costs however the samples are
     split into blocks.
     """
     n_ions = amplitudes.size - 1
+    offsets = _node_offsets(amplitudes.size)
     table = _cdf_table(amplitudes)
-    cost_table = _cost_table(cost_fn, amplitudes.size)
+    cost_table = np.ascontiguousarray(_cost_on_grid(cost_fn, amplitudes.size, offsets).T)
     steps = [1 << k for k in reversed(range(amplitudes.size.bit_length()))]
 
     def sample(fractions: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -391,14 +391,19 @@ def test_gnuplot_companion_script(capsys, tmp_path):
 # that moved equal their mpmath references. The abs state JSON was re-pinned
 # when energy_stats moved to the centred variance: its energy_stddev went
 # 1.5366150769633369 -> 1.5366150769633373, and mpmath of the stored
-# amplitudes gives 1.53661507696333742.
+# amplitudes gives 1.53661507696333742. The product-state posterior was
+# re-pinned when posterior took its phases exp(i k t_j) from the integer
+# residues k j mod (N+1) instead of the float k t_j: 27 of its 30 JSON
+# densities and one CSV cell (the zero at T = pi, 5.04e-33 -> 6.93e-33) moved,
+# and its largest error against an mpmath sum over the stored amplitudes went
+# from 4.8e-16 to 2.7e-16 of the peak.
 GOLDEN_COMMANDS = [
     (["state", "--kind", "optimal", "--cost", "abs", "--n", "6"],
      "bc256ed713aef225f98ba787a4098f9586aebe94d7578a2c1c0673356dd7cdd5",
      "fcd8621a7562c52b5e6318601beacee4cab62d60809754313e844eb57f8a110a"),
     (["posterior", "--kind", "product", "--n", "5", "--outcome", "2", "--grid", "30"],
-     "85b6f0b7e8c6fe3bdc2f755ab3a1498d2076958e0e8cc3764257621d548e00c7",
-     "7ff44dc2b4ffcc7be2c85e992297e9cb3691f8dc8467ea0cb1a3fa31eb0b4b71"),
+     "4bd51598b640eff2976e7df78552a7f4f61736792d877ed45c85f886859c778f",
+     "7cd775955f9fe72dba7d20b4b9519b05bc3d62887b77fca76854f0c51465cc8d"),
     (["scan", "--kinds", "product,phase,optimal,max_spread", "--cost", "sin2",
       "--n", "1:9:4"],
      "ff8bcb291571147df40b4d6e9f41181732531d36332b0f6735c47f993884abc0",

@@ -402,6 +402,45 @@ def test_grid_offsets_match_integer_arithmetic(case):
         assert int(offsets[g]) == nu
 
 
+@st.composite
+def closed_form_grids(draw):
+    n = draw(st.integers(1, 300))
+    grid_size = draw(st.integers(4 * (n + 1), 16 * (n + 1)))
+    return n, draw(st.integers(0, n)), grid_size
+
+
+@settings(max_examples=40, deadline=None)
+@given(closed_form_grids())
+def test_closed_forms_within_8_eps_of_peak_on_random_grids(case):
+    # Every node within 3 theta of the peak, theta = pi/(N+2): |T| <= 3 theta
+    # is 2 |nu| (N+2) <= 3 G (N+1). The worst seen over 4000 draws was 6.2
+    # eps (sine state) and 4.1 eps (phase state).
+    n, outcome, grid_size = case
+    offsets = _grid_offsets(n, outcome, grid_size)
+    nodes = np.flatnonzero(2 * np.abs(offsets) * (n + 2) <= 3 * grid_size * (n + 1))
+    for closed_form, oracle in (
+        (phase_state_posterior_closed_form, phase_posterior_mp),
+        (optimal_state_posterior_closed_form, sine_state_posterior_mp),
+    ):
+        density = closed_form(n, outcome, grid_size).density
+        peak = oracle(n, 0, grid_size)
+        for g in nodes:
+            reference = oracle(n, int(offsets[g]), grid_size)
+            assert abs(density[g] - reference) <= 8.0 * np.finfo(float).eps * peak
+
+
+@pytest.mark.parametrize("extra", [0, 7])
+@pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+def test_posterior_phases_from_integers_match_closed_form(n, extra):
+    # exp(i k t_j) from the residue k j mod (N+1): the float k t_j put the
+    # phase state's posterior 7e-14 / 3e-13 / 1.4e-12 of the peak off at
+    # N = 10^3 / 10^4 / 10^5, outcome N - 3
+    grid_size = 16 * (n + 1) + extra
+    born = posterior(phase_state(n), n - 3, grid_size).density
+    closed = phase_state_posterior_closed_form(n, n - 3, grid_size).density
+    assert np.max(np.abs(born - closed)) <= 1e-14 * closed.max()
+
+
 def _tail_window_mean(n, lo, hi, grid_size=4096):
     post = optimal_state_posterior_closed_form(n, 0, max(grid_size, 4 * (n + 1)))
     offsets = np.abs(wrap_angle(post.grid))
@@ -450,6 +489,17 @@ def test_mean_cost_direct_saturates_bound_for_all_combinations():
             for kind in ("product", "phase", "optimal", "max_spread"):
                 state = state_for(kind, n, label)
                 assert abs(mean_cost_direct(state, f) - mean_cost_bound(state, f)) <= 1e-9
+
+
+@pytest.mark.parametrize("n,tolerance", [(10**3, 1e-14), (10**4, 1e-14), (10**5, 1e-13)])
+def test_mean_cost_direct_of_sin2_optimum_matches_mpmath(n, tolerance):
+    # The sin2 optimum's mean cost is 2 - 2 cos(pi/(N+2)), ~1e-9 at N = 10^5,
+    # where the costs summed as w0 - w1 cos x alone put it 2e-8 relative off.
+    state = state_for("optimal", n, "sin2")
+    with mpmath.workdps(40):
+        exact = float(2 - 2 * mpmath.cos(mpmath.pi / (n + 2)))
+    direct = mean_cost_direct(state, canonical_cost("sin2", n))
+    assert abs(direct - exact) <= tolerance * exact
 
 
 def test_mean_cost_direct_rejects_coarse_grid():

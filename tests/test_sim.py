@@ -20,7 +20,7 @@ from qclock import (
     state_for,
 )
 from qclock import cli
-from qclock.measurement import _kernel_on_grid, measurement_times
+from qclock.measurement import _cost_on_grid, _kernel_on_grid, measurement_times
 from qclock.sim import DEFAULT_HISTOGRAM_BINS
 from qclock.solver import SolverConvergenceError
 import qclock.sim as sim_module
@@ -184,21 +184,33 @@ def test_sampler_costs_match_mpmath_series(config):
     assert np.max(np.abs(costs - reference)) <= allowed
 
 
-@pytest.mark.parametrize("label", ["abs", "abs_sin_half", "neg_delta"])
+@pytest.mark.parametrize("label", ["abs", "abs_sin_half", "neg_delta", "sin2"])
 def test_cost_table_matches_mpmath_series(label):
-    # Rows next to zero error, where w0 - sum_k w_k cos(k x) cancels, and
-    # far from it, where the factored form would lose ~eps K^2 (neg_delta).
+    # The sampler's table: rows next to zero error, where w0 - sum_k w_k
+    # cos(k x) cancels, and far from it, where the factored form would lose
+    # ~eps K^2 (neg_delta). Then the mean_cost_direct grid, shift 0 and
+    # G = 8 (N + K), whose nodes g = 1, 2 next to zero error keep their
+    # relative digits (the first form alone left sin2 4e-12 off there).
     n_ions = 300
     f = canonical_cost(label, n_ions)
+    scale = abs(f.w0) + f.coefficients.sum()
+    eps = np.finfo(float).eps
     offsets = (np.pi / (n_ions + 1)) * (1.0 + sim_module._NODES)
     rows = [0, 1, n_ions // 3, n_ions]
-    table = sim_module._cost_table(f, n_ions + 1)[rows]
+    table = _cost_on_grid(f, n_ions + 1, offsets)[:, rows].T
     reference = np.array([
         [cost_at_outcome_mp(f.w0, f.coefficients, m, n_ions + 1, delta) for delta in offsets]
         for m in rows
     ])
-    scale = abs(f.w0) + f.coefficients.sum()
-    assert np.max(np.abs(table - reference)) <= 4.0 * np.finfo(float).eps * scale
+    assert np.max(np.abs(table - reference)) <= 4.0 * eps * scale
+    grid_size = 8 * (n_ions + f.order)
+    nodes = [0, 1, 2, grid_size // 3, grid_size // 2, grid_size - 1]
+    costs = _cost_on_grid(f, grid_size)[nodes]
+    reference = np.array([
+        cost_at_outcome_mp(f.w0, f.coefficients, g, grid_size, 0.0) for g in nodes
+    ])
+    assert np.max(np.abs(costs - reference)) <= 4.0 * eps * scale
+    assert np.all(np.abs(costs[1:3] - reference[1:3]) <= 4.0 * eps * np.abs(reference[1:3]))
 
 
 def test_sampler_mean_cost_keeps_its_digits_where_the_cost_is_small():

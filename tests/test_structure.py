@@ -1,0 +1,57 @@
+"""Source-layout guards: one complex transform and one cost evaluator.
+
+``measurement._shifted_fft`` is the only place that calls ``np.fft.fft``,
+and only ``measurement.py`` uses it: every kernel, posterior and cost
+table (``_kernel_on_grid``, ``_cost_on_grid``) goes through it there.
+"""
+
+import ast
+from pathlib import Path
+
+import qclock
+
+SOURCES = sorted(Path(qclock.__file__).parent.glob("*.py"))
+
+
+def _enclosing_functions(tree):
+    """Yield (node, name of the innermost enclosing function or None)."""
+    stack = [(tree, None)]
+    while stack:
+        node, function = stack.pop()
+        yield node, function
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        stack.extend((child, function) for child in ast.iter_child_nodes(node))
+
+
+def _is_np_fft_fft(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "fft"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "fft"
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id in ("np", "numpy")
+    )
+
+
+def _names_shifted_fft(node):
+    if isinstance(node, ast.Name):
+        return node.id == "_shifted_fft"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "_shifted_fft"
+    if isinstance(node, ast.alias):
+        return node.name == "_shifted_fft"
+    return False
+
+
+def test_one_complex_transform_used_only_in_measurement():
+    fft_sites, users = set(), set()
+    for path in SOURCES:
+        for node, function in _enclosing_functions(ast.parse(path.read_text())):
+            if _is_np_fft_fft(node):
+                fft_sites.add((path.name, function))
+            if _names_shifted_fft(node):
+                users.add(path.name)
+    assert fft_sites == {("measurement.py", "_shifted_fft")}
+    assert users == {"measurement.py"}
