@@ -23,7 +23,10 @@ only delta/h = frac((N+1) d) from the first uniform d of its row, and m by
 inverse CDF from the second, u: m = #{k : Q_k(delta) < u}, capped at N, for
 the partial sums Q_k = sum_{i<=k} P(t_i | delta). One table of Q at 22
 Chebyshev offsets, built once per run from the outcome kernel, serves every
-sample: a sample costs O(log N) interpolations of 22 terms, not an
+sample, with a guide table (Chen & Asau's cutpoints) of a likely m per node
+and level of u: a sample costs two interpolations of 22 terms that confirm
+its guide start, and a bisection of ceil(log2(N+2)) interpolations only when
+they do not, so O(1) table reads expected and O(log N) at worst, not an
 (N+1)-entry Born row. The m equal the outcomes of the Born-row ``cumsum``
 at true time delta except where u lies within roundoff (~1e-13) of a CDF
 step. The cost of the error m h - delta is likewise a trigonometric
@@ -34,17 +37,20 @@ table is ``measurement._cost_on_grid``, the cancellation-free cost
 evaluator that ``mean_cost_direct`` also reads.
 
 Samples run in blocks of 2**16 // 22 on a thread pool of
-min(os.cpu_count(), blocks) workers. A block does the whole per-sample
-pipeline: it draws its own rows of the Philox block, samples lattice
-errors and costs, wraps the errors and bins them into its own histogram,
-whose counts are added. Only the costs and wrapped errors, which the mean, RMS and
-standard error reduce over, are kept for every sample: 16 bytes each, and
-one 8-byte temporary per sample while a reduction runs. So memory is
-24 * samples + O(N + workers * block) bytes at its peak, and no per-sample
-array grows with N. Each block writes only its own slices, so the results
-do not depend on the block size or the worker count. One DEBUG record on
-the ``qclock`` logger gives the sample, block and worker counts and the
-seconds spent building the tables and sampling.
+min(os.cpu_count(), blocks) workers; each worker takes every workers-th
+block and reuses one kernel buffer of two (block, 22) planes for all of
+them. A block does the whole per-sample pipeline: it draws its own rows of
+the Philox block, samples lattice errors and costs, wraps the errors and
+bins them into its worker's histogram, whose counts are added. Only the
+costs and wrapped errors, which the mean, RMS and standard error reduce
+over, are kept for every sample: 16 bytes each, and one 8-byte temporary
+per sample while a reduction runs. So memory is 24 * samples + 440 (N+1)
+bytes of tables + O(workers * block) at its peak, and no per-sample array
+grows with N. Each block writes only its own slices, so the results do not
+depend on the block size or the worker count. One DEBUG record on the
+``qclock`` logger gives the sample, block and worker counts, the samples
+whose guide start was bisected, and the seconds spent building the tables
+and sampling.
 """
 
 from __future__ import annotations
@@ -191,25 +197,40 @@ def _node_offsets(dim: int) -> np.ndarray:
     return (np.pi / dim) * (1.0 + _NODES)
 
 
-def _cdf_table(amplitudes: np.ndarray) -> np.ndarray:
-    """Outcome CDF at the Chebyshev nodes of one outcome spacing, one period.
+def _cdf_table(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome CDF at the Chebyshev nodes of one outcome spacing, and its guide.
 
-    Row k holds Q_k(delta) = sum_{m<=k} P(t_m | delta) at the nodes delta
-    in [0, 2*pi/(N+1)], the ``cumsum`` of ``_kernel_on_grid`` on the
-    outcomes at each node: the CDF of the lattice error m at offset delta.
+    Row k of the C-contiguous (N+1, d) table holds Q_k(delta) = sum_{m<=k}
+    P(t_m | delta) at the nodes delta in [0, 2*pi/(N+1)], the ``cumsum`` of
+    ``_kernel_on_grid`` on the outcomes at each node: the CDF of the lattice
+    error m at offset delta. Row j of the (d, N+1) int32 guide holds
+    min(#{k : Q_k(node_j) < (c + 1/2)/(N+1)}, N) for c = 0..N, the outcome
+    that the middle uniform of level c draws at node j: a start that is
+    checked once, not searched from, misses least from the middle of its
+    level (the least uniform of a level lies on a CDF step whenever the
+    steps fall on level edges, as for a uniform law).
     """
-    offsets = _node_offsets(amplitudes.size)
-    return np.cumsum(_kernel_on_grid(amplitudes, amplitudes.size, offsets), axis=1).T
+    dim = amplitudes.size
+    cdf = np.cumsum(_kernel_on_grid(amplitudes, dim, _node_offsets(dim)), axis=1)
+    levels = (np.arange(dim) + 0.5) / dim
+    guide = np.empty(cdf.shape, dtype=np.int32)
+    for node_cdf, node_guide in zip(cdf, guide):
+        np.minimum(np.searchsorted(node_cdf, levels), dim - 1, out=node_guide)
+    return np.ascontiguousarray(cdf.T), guide
 
 
-def _barycentric_weights(x: np.ndarray) -> np.ndarray:
+def _barycentric_weights(x: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """w with p(x) = w . p(_NODES) for every polynomial p of degree < d.
 
     The second barycentric formula, stable at Chebyshev points; an x that
-    lands on a node gets that node's unit vector.
+    lands on a node gets that node's unit vector. The gaps x - _NODES and
+    the weights are written to the first and second plane of ``work``, a
+    (2, >= x.size, d) buffer, or of a new one.
     """
-    gaps = np.subtract.outer(x, _NODES)
-    weights = np.empty_like(gaps)
+    if work is None:
+        work = np.empty((2, x.size, _NODE_COUNT))
+    gaps, weights = work[:, : x.size]
+    np.subtract(x[:, None], _NODES, out=gaps)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(_BARYCENTRIC, gaps, out=weights)
         total = np.einsum("ij->i", weights)
@@ -219,36 +240,83 @@ def _barycentric_weights(x: np.ndarray) -> np.ndarray:
     return weights
 
 
+def _interpolate(
+    table: np.ndarray, rows: np.ndarray, weights: np.ndarray, gathered: np.ndarray
+) -> np.ndarray:
+    """Row rows[i] of an (N+1, d) node table at sample i's offset.
+
+    The rows are gathered into ``gathered``, a (rows.size, d) buffer, and
+    dotted with the sample's weights; ``clip`` maps a row -1 to row 0.
+    """
+    np.take(table, rows, axis=0, out=gathered, mode="clip")
+    return np.einsum("ij,ij->i", gathered, weights)
+
+
+def _bisect(
+    table: np.ndarray, weights: np.ndarray, uniforms: np.ndarray, gathered: np.ndarray
+) -> np.ndarray:
+    """m = #{k : Q_k(delta) < u}, capped at N, in ceil(log2(N+2)) interpolations.
+
+    Each step interpolates one row per sample and halves the remaining
+    range; ``gathered`` is an (uniforms.size, d) buffer.
+    """
+    size = table.shape[0]
+    count = np.zeros(uniforms.size, dtype=np.intp)
+    for step in [1 << k for k in reversed(range(size.bit_length()))]:
+        row = np.minimum(count + step, size) - 1
+        count += step * (_interpolate(table, row, weights, gathered) < uniforms)
+    return np.minimum(count, size - 1)
+
+
 def _outcome_sampler(
     amplitudes: np.ndarray, cost_fn: CostFunction
-) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The block kernel: (fractions, uniforms) -> (m, costs), tables built once.
+) -> Callable[..., tuple[np.ndarray, np.ndarray, int]]:
+    """The block kernel: (fractions, uniforms) -> (m, costs, fallbacks), tables built once.
 
     A sample at the offset delta = fraction * h, h = 2*pi/(N+1), interpolates
     the rows Q_k of ``_cdf_table`` at delta with d barycentric weights and
-    bisects for m = #{k : Q_k(delta) < u}, capped at N, in ceil(log2(N+2))
-    table gathers: m is the outcome at the true time delta, and the lattice
-    error of an outcome at any true time s h + delta. Its error m h - delta
-    is row m of the cost table, ``measurement._cost_on_grid`` on the N+1
-    lattice at the same offsets, so the same weights give its cost from d
-    terms, not K cosines. Each sample depends only on its own (fraction, u),
-    so the kernel gives the same errors and costs however the samples are
-    split into blocks.
+    draws m = #{k : Q_k(delta) < u}, capped at N: m is the outcome at the
+    true time delta, and the lattice error of an outcome at any true time
+    s h + delta. It starts at the guide entry of the nearest node and of
+    the level floor(u (N+1)) and keeps that start when two interpolations,
+    Q_{m-1}(delta) < u <= Q_m(delta), confirm it (the first is skipped at
+    m = 0 and the second at m = N). The interpolated Q_k increase with k
+    except within roundoff of a CDF step, so a confirmed start is the m that
+    bisection finds; the rest, the ``fallbacks`` (a few per cent of the
+    samples), are bisected in ceil(log2(N+2)) interpolations. So a sample
+    costs O(1) table reads expected and O(log N) at worst. Its error
+    m h - delta is row m of the cost table, ``measurement._cost_on_grid``
+    on the N+1 lattice at the same offsets, so the same weights give its
+    cost from d terms, not K cosines. The CDF and cost tables take
+    8 d = 176 bytes per level each and the guide 4 d = 88. Each sample
+    depends only on its own (fraction, u), so the kernel gives the same
+    errors and costs however the samples are split into blocks. ``work``
+    is a (2, >= fractions.size, d) float buffer that the kernel overwrites;
+    one is allocated when none is given.
     """
-    n_ions = amplitudes.size - 1
-    offsets = _node_offsets(amplitudes.size)
-    table = _cdf_table(amplitudes)
-    cost_table = np.ascontiguousarray(_cost_on_grid(cost_fn, amplitudes.size, offsets).T)
-    steps = [1 << k for k in reversed(range(amplitudes.size.bit_length()))]
+    dim = amplitudes.size
+    # The cost build's transforms peak higher, so it runs before the CDF
+    # and the guide are held.
+    cost_table = np.ascontiguousarray(_cost_on_grid(cost_fn, dim, _node_offsets(dim)).T)
+    table, guide = _cdf_table(amplitudes)
 
-    def sample(fractions: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        weights = _barycentric_weights(2.0 * fractions - 1.0)
-        count = np.zeros(fractions.size, dtype=np.intp)
-        for step in steps:
-            row = np.minimum(count + step, amplitudes.size) - 1
-            count += step * (np.einsum("ij,ij->i", table[row], weights) < uniforms)
-        m = np.minimum(count, n_ions)
-        return m, np.einsum("ij,ij->i", cost_table[m], weights)
+    def sample(fractions: np.ndarray, uniforms: np.ndarray, work: np.ndarray | None = None):
+        if work is None:
+            work = np.empty((2, fractions.size, _NODE_COUNT))
+        x = 2.0 * fractions - 1.0
+        weights = _barycentric_weights(x, work)
+        gathered = work[0, : fractions.size]
+        node = np.rint(np.arccos(x) * ((_NODE_COUNT - 1) / np.pi)).astype(np.intp)
+        level = (uniforms * dim).astype(np.intp)
+        # Any start in [0, N] is safe: the check below decides.
+        m = np.take(guide, node * dim + level, mode="clip").astype(np.intp)
+        below = _interpolate(table, m - 1, weights, gathered)
+        above = _interpolate(table, m, weights, gathered)
+        missed = np.flatnonzero(
+            ((m > 0) & (below >= uniforms)) | ((m < dim - 1) & (above < uniforms))
+        )
+        m[missed] = _bisect(table, weights[missed], uniforms[missed], gathered[: missed.size])
+        return m, _interpolate(cost_table, m, weights, gathered), missed.size
 
     return sample
 
@@ -274,11 +342,11 @@ def run_simulation(config: SimConfig) -> SimResult:
     would put it there), draw the lattice error m by inverse CDF from the
     second, then record the cost f(m h - delta), read from the sampler's
     cost table, and the wrapped error m h - delta. Each block of samples
-    runs that whole pipeline on a worker: it draws its own rows of the
-    Philox block, samples, wraps and bins its errors. Only the costs and
-    wrapped errors, 16 B per sample, outlive a block. The 101 histogram bins
-    are odd so one bin straddles zero error; the histogram mass always
-    equals the sample count.
+    runs that whole pipeline on a worker, in the worker's one kernel buffer:
+    it draws its own rows of the Philox block, samples, wraps and bins its
+    errors. Only the costs and wrapped errors, 16 B per sample, outlive a
+    block. The 101 histogram bins are odd so one bin straddles zero error;
+    the histogram mass always equals the sample count.
     """
     state = state_for(config.state_kind, config.n_ions, config.cost_label)
     cost_fn = canonical_cost(config.cost_label, config.n_ions)
@@ -290,29 +358,37 @@ def run_simulation(config: SimConfig) -> SimResult:
     errors = np.empty(config.samples)
     edges = np.linspace(-np.pi, np.pi, DEFAULT_HISTOGRAM_BINS + 1)
     rows = max(1, _BLOCK_ENTRIES // _NODE_COUNT)
-
-    def run_block(lo: int) -> np.ndarray:
-        hi = min(lo + rows, config.samples)
-        draws = _philox_rows(config.seed, lo, hi)
-        # t = 2*pi d = s h + delta with delta = fraction * h; s drops out
-        scaled = draws[:, 0] * (config.n_ions + 1)
-        fractions = scaled - np.floor(scaled)
-        m, costs[lo:hi] = sample(fractions, draws[:, 1])
-        errors[lo:hi] = wrap_angle(spacing * (m - fractions))
-        return np.histogram(errors[lo:hi], bins=edges)[0]
-
     starts = range(0, config.samples, rows)
     workers = min(os.cpu_count() or 1, len(starts))
+
+    def run_share(worker: int) -> tuple[np.ndarray, int]:
+        # One kernel buffer per worker, reused by every block of its share.
+        work = np.empty((2, rows, _NODE_COUNT))
+        counts, fallbacks = np.zeros(DEFAULT_HISTOGRAM_BINS, dtype=np.int64), 0
+        for lo in starts[worker::workers]:
+            hi = min(lo + rows, config.samples)
+            draws = _philox_rows(config.seed, lo, hi)
+            # t = 2*pi d = s h + delta with delta = fraction * h; s drops out
+            scaled = draws[:, 0] * (config.n_ions + 1)
+            fractions = scaled - np.floor(scaled)
+            m, costs[lo:hi], missed = sample(fractions, draws[:, 1], work)
+            errors[lo:hi] = wrap_angle(spacing * (m - fractions))
+            counts += np.histogram(errors[lo:hi], bins=edges)[0]
+            fallbacks += missed
+        return counts, fallbacks
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        counts = sum(pool.map(run_block, starts))
+        counts, fallbacks = map(sum, zip(*pool.map(run_share, range(workers))))
     _LOG.debug(
         "sampler: samples=%(samples)d block_rows=%(block_rows)d blocks=%(blocks)d"
-        " workers=%(workers)d table_s=%(table_s).6f sampling_s=%(sampling_s).6f",
+        " workers=%(workers)d fallbacks=%(fallbacks)d table_s=%(table_s).6f"
+        " sampling_s=%(sampling_s).6f",
         {
             "samples": config.samples,
             "block_rows": rows,
             "blocks": len(starts),
             "workers": workers,
+            "fallbacks": fallbacks,
             "table_s": built - started,
             "sampling_s": time.perf_counter() - built,
         },

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qclock import (
     KINDS,
@@ -20,6 +22,7 @@ from qclock import (
     state_for,
 )
 from qclock import cli
+from qclock.cost import CANONICAL_LABELS
 from qclock.measurement import _cost_on_grid, _kernel_on_grid, measurement_times
 from qclock.sim import DEFAULT_HISTOGRAM_BINS
 from qclock.solver import SolverConvergenceError
@@ -161,6 +164,26 @@ def test_run_simulation_golden_outputs(config, scalars, counts):
     assert result.histogram.tolist() == expected.tolist()
 
 
+def _sampler_record(caplog, config):
+    """The fields of the sampler's one DEBUG record for a run of ``config``."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="qclock"):
+        run_simulation(config)
+    (record,) = [r for r in caplog.records if r.getMessage().startswith("sampler:")]
+    return record.args
+
+
+@pytest.mark.parametrize("config", [config for config, _, _ in GOLDEN_RUNS])
+def test_guide_starts_hold_for_most_samples(caplog, config):
+    # The guide's start is confirmed by two interpolations; only the rest
+    # pay for a bisection. max_spread's K oscillates at frequency N, so its
+    # CDF moves one outcome per h/N of offset, and a start read at the
+    # nearest of 22 nodes misses for 36% of its samples (measured).
+    fields = _sampler_record(caplog, SimConfig(*config))
+    share = 0.4 if config[0] == "max_spread" else 0.1
+    assert fields["fallbacks"] <= share * config[3]
+
+
 @pytest.mark.parametrize("config", [config for config, _, _ in GOLDEN_RUNS])
 def test_sampler_costs_match_mpmath_series(config):
     # The first 256 samples of each golden run: the tabulated cost against
@@ -173,7 +196,7 @@ def test_sampler_costs_match_mpmath_series(config):
     fractions = np.modf(draws[:, 0] * (n_ions + 1))[0]
     times = fractions * (2.0 * np.pi / (n_ions + 1))
     amplitudes = state_for(kind, n_ions, label).amplitudes
-    m, costs = sim_module._outcome_sampler(amplitudes, f)(fractions, draws[:, 1])
+    m, costs, _ = sim_module._outcome_sampler(amplitudes, f)(fractions, draws[:, 1])
     reference = np.array([
         cost_at_outcome_mp(f.w0, f.coefficients, j, n_ions + 1, t)
         for j, t in zip(m.tolist(), times)
@@ -223,7 +246,7 @@ def test_sampler_mean_cost_keeps_its_digits_where_the_cost_is_small():
     fractions = np.modf(draws[:, 0] * (n_ions + 1))[0]
     times = fractions * (2.0 * np.pi / (n_ions + 1))
     amplitudes = state_for("optimal", n_ions, "sin2").amplitudes
-    m, costs = sim_module._outcome_sampler(amplitudes, f)(fractions, draws[:, 1])
+    m, costs, _ = sim_module._outcome_sampler(amplitudes, f)(fractions, draws[:, 1])
     reference = np.mean([
         cost_at_outcome_mp(f.w0, f.coefficients, j, n_ions + 1, t)
         for j, t in zip(m.tolist(), times)
@@ -329,6 +352,13 @@ def test_sampler_logs_one_debug_record(caplog, capsys, monkeypatch):
     assert (fields["blocks"], fields["workers"]) == (-(-7000 // rows), 3)
     assert fields["table_s"] >= 0.0 and fields["sampling_s"] > 0.0
     assert "sampler: samples=7000" in record.getMessage()
+    # the samples whose guide start failed its check, counted by the kernel
+    draws = np.random.Generator(np.random.Philox(key=4)).random((7000, 2))
+    fractions = np.modf(draws[:, 0] * 9)[0]
+    sample = sim_module._outcome_sampler(phase_state(8).amplitudes, canonical_cost("sin2", 8))
+    fallbacks = sample(fractions, draws[:, 1])[2]
+    assert 0 < fields["fallbacks"] == fallbacks < 7000
+    assert f"fallbacks={fallbacks} " in record.getMessage()
 
 
 def _row_cdfs(amplitudes, times):
@@ -356,7 +386,7 @@ def test_sampler_matches_born_row_inverse_cdf(kind, cost, n_ions):
     uniforms = rng.random(3000)
     times = fractions * (2.0 * np.pi / (n_ions + 1))
     sample = sim_module._outcome_sampler(amplitudes, canonical_cost(cost, n_ions))
-    observed, _ = sample(fractions, uniforms)
+    observed, _, _ = sample(fractions, uniforms)
     assert observed.tolist() == _reference_outcomes(amplitudes, times, uniforms).tolist()
 
 
@@ -369,7 +399,7 @@ def test_interpolated_cdf_matches_born_row_cumsum(kind, n_ions):
     fractions = np.random.default_rng(n_ions).random(200)
     times = fractions * (2.0 * np.pi / (n_ions + 1))
     weights = sim_module._barycentric_weights(2.0 * fractions - 1.0)
-    interpolated = weights @ sim_module._cdf_table(amplitudes).T
+    interpolated = weights @ sim_module._cdf_table(amplitudes)[0].T
     assert np.max(np.abs(interpolated - _row_cdfs(amplitudes, times))) <= 1e-12
 
 
@@ -392,8 +422,116 @@ def test_sampler_edge_times(kind, n_ions):
     times = fractions * (2.0 * np.pi / (n_ions + 1))
     uniforms = np.random.default_rng(n_ions).random(times.size)
     sample = sim_module._outcome_sampler(amplitudes, canonical_cost("abs", n_ions))
-    observed, _ = sample(fractions, uniforms)
+    observed, _, _ = sample(fractions, uniforms)
     assert observed.tolist() == _reference_outcomes(amplitudes, times, uniforms).tolist()
+
+
+def _bisected_draws(amplitudes, cost_fn, fractions, uniforms):
+    """Every sample bisected: the reference (m, costs) of the guided kernel."""
+    dim = amplitudes.size
+    table, _ = sim_module._cdf_table(amplitudes)
+    weights = sim_module._barycentric_weights(2.0 * fractions - 1.0)
+    m = sim_module._bisect(table, weights, uniforms, np.empty_like(weights))
+    offsets = sim_module._node_offsets(dim)
+    cost_table = np.ascontiguousarray(_cost_on_grid(cost_fn, dim, offsets).T)
+    return m, np.einsum("ij,ij->i", cost_table[m], weights)
+
+
+def _edge_draws(amplitudes, seed):
+    """Every pairing of edge and random fractions with edge and random uniforms.
+
+    Fractions 0, nextafter(1, 0) and the 22 node fractions; uniforms 0,
+    nextafter(1, 0) and tabulated values Q_k(node_j), which a sample at
+    node j meets exactly.
+    """
+    rng = np.random.default_rng(seed)
+    below_one = np.nextafter(1.0, 0.0)
+    tabulated = sim_module._cdf_table(amplitudes)[0].ravel()
+    fractions = np.concatenate(
+        [[0.0, below_one], 0.5 * (1.0 + sim_module._NODES), rng.random(100)]
+    )
+    uniforms = np.concatenate(
+        [[0.0, below_one], rng.choice(tabulated[tabulated < 1.0], 40), rng.random(100)]
+    )
+    fractions, uniforms = np.meshgrid(fractions, uniforms)
+    return fractions.ravel(), uniforms.ravel()
+
+
+@st.composite
+def sampler_cases(draw):
+    n = draw(st.integers(1, 400))
+    raw = draw(st.lists(st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1))
+    amplitudes = np.array(raw)
+    norm = np.linalg.norm(amplitudes)
+    if norm < 1e-3:
+        amplitudes = np.ones(n + 1)
+        norm = np.sqrt(n + 1)
+    return amplitudes / norm, draw(st.sampled_from(CANONICAL_LABELS)), draw(st.integers(0, 2**32))
+
+
+# The phase state's CDF is flat to roundoff away from its peak, at offsets
+# next to 0 and h, where interpolated rows can fall out of order.
+@example(case=(phase_state(1).amplitudes, "sin2", 0))
+@example(case=(phase_state(17).amplitudes, "neg_delta", 1))
+@example(case=(phase_state(400).amplitudes, "abs", 2))
+@settings(max_examples=30, deadline=None)
+@given(case=sampler_cases())
+def test_guided_draws_equal_bisected_draws(case):
+    amplitudes, label, seed = case
+    cost_fn = canonical_cost(label, amplitudes.size - 1)
+    fractions, uniforms = _edge_draws(amplitudes, seed)
+    m, costs, _ = sim_module._outcome_sampler(amplitudes, cost_fn)(fractions, uniforms)
+    expected_m, expected_costs = _bisected_draws(amplitudes, cost_fn, fractions, uniforms)
+    assert m.tolist() == expected_m.tolist()
+    assert costs.tobytes() == expected_costs.tobytes()
+
+
+@pytest.mark.parametrize("start", ["zero", "top"])
+@pytest.mark.parametrize("config", [config for config, _, _ in GOLDEN_RUNS])
+def test_forced_fallbacks_give_the_same_draws(monkeypatch, config, start):
+    # A guide of all 0 or all N confirms only the samples whose m it names;
+    # every other sample is bisected, to the same m and cost.
+    kind, n_ions, label, samples, seed = config
+    amplitudes = state_for(kind, n_ions, label).amplitudes
+    cost_fn = canonical_cost(label, n_ions)
+    draws = np.random.Generator(np.random.Philox(key=seed)).random((samples, 2))
+    fractions = np.modf(draws[:, 0] * (n_ions + 1))[0]
+    m, costs, _ = sim_module._outcome_sampler(amplitudes, cost_fn)(fractions, draws[:, 1])
+    pinned = 0 if start == "zero" else n_ions
+    cdf_table = sim_module._cdf_table
+
+    def pinned_guide(amplitudes):
+        table, guide = cdf_table(amplitudes)
+        return table, np.full_like(guide, pinned)
+
+    monkeypatch.setattr(sim_module, "_cdf_table", pinned_guide)
+    sample = sim_module._outcome_sampler(amplitudes, cost_fn)
+    forced_m, forced_costs, fallbacks = sample(fractions, draws[:, 1])
+    assert forced_m.tolist() == m.tolist()
+    assert forced_costs.tobytes() == costs.tobytes()
+    assert fallbacks == np.count_nonzero(m != pinned)
+
+
+def test_sampler_tables_take_440_bytes_per_level():
+    # CDF and cost tables 176 B per level each, the guide 88 B. Built after
+    # the cost table, the CDF and the guide add nothing to the build's peak,
+    # 2.4x the tables (the table pair without a guide peaked at 3.5x).
+    n_ions = 10**5
+    amplitudes = state_for("product", n_ions).amplitudes
+    cost_fn = canonical_cost("sin2", n_ions)
+    tracemalloc.start()
+    try:
+        sample = sim_module._outcome_sampler(amplitudes, cost_fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(
+        cell.cell_contents.nbytes
+        for cell in sample.__closure__
+        if isinstance(cell.cell_contents, np.ndarray)
+    )
+    assert held <= 440 * (n_ions + 1)
+    assert peak <= 3 * held
 
 
 def test_sampler_reaches_the_asymptotic_cost_at_n_1e5():
