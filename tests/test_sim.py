@@ -442,7 +442,8 @@ def _edge_draws(amplitudes, seed):
 
     Fractions 0, nextafter(1, 0) and the 22 node fractions; uniforms 0,
     nextafter(1, 0) and tabulated values Q_k(node_j), which a sample at
-    node j meets exactly.
+    node j meets exactly (12 of the 22 node fractions map back onto their
+    node in floats) or to roundoff.
     """
     rng = np.random.default_rng(seed)
     below_one = np.nextafter(1.0, 0.0)
