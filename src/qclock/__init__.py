@@ -2,101 +2,18 @@
 
 Construction and characterization of clock states, cost functions and
 their matrices, the smallest-eigenpair optimizer, covariant phase-state
-measurement statistics, and seeded Monte Carlo validation.
+measurement statistics, and seeded Monte Carlo validation. The package
+re-exports each module's ``__all__``: a new public name goes there and
+into ``tests/test_api.py::PUBLIC_NAMES``.
 """
 
-from .states import (
-    ClockState,
-    EnergyStats,
-    energy_stats,
-    max_energy_spread_state,
-    phase_state,
-    product_state,
-)
-from .cost import (
-    CANONICAL_LABELS,
-    CostFunction,
-    CostMatrix,
-    canonical_cost,
-    cost_matrix,
-    evaluate_cost,
-    mean_cost_bound,
-    product_cost_closed_form,
-)
-from .solver import (
-    EigenPair,
-    SignConventionError,
-    SolverConvergenceError,
-    optimal_state,
-    smallest_eigenpair,
-)
-from .measurement import (
-    EstimationReport,
-    OutcomeDistribution,
-    PosteriorGrid,
-    circular_rms_error,
-    estimation_report,
-    mean_cost_direct,
-    measurement_times,
-    mutual_information_bits,
-    mutual_information_nats,
-    optimal_state_posterior_closed_form,
-    outcome_distribution,
-    phase_state_posterior_closed_form,
-    posterior,
-    wrap_angle,
-)
-from .sim import (
-    KINDS,
-    ScanRow,
-    SimConfig,
-    SimResult,
-    run_simulation,
-    scan_n,
-    state_for,
-)
+from . import cost, measurement, sim, solver, states
+from .states import *
+from .cost import *
+from .solver import *
+from .measurement import *
+from .sim import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CANONICAL_LABELS",
-    "ClockState",
-    "CostFunction",
-    "CostMatrix",
-    "EigenPair",
-    "EnergyStats",
-    "EstimationReport",
-    "KINDS",
-    "OutcomeDistribution",
-    "PosteriorGrid",
-    "ScanRow",
-    "SignConventionError",
-    "SimConfig",
-    "SimResult",
-    "SolverConvergenceError",
-    "canonical_cost",
-    "circular_rms_error",
-    "cost_matrix",
-    "energy_stats",
-    "estimation_report",
-    "evaluate_cost",
-    "max_energy_spread_state",
-    "mean_cost_bound",
-    "mean_cost_direct",
-    "measurement_times",
-    "mutual_information_bits",
-    "mutual_information_nats",
-    "optimal_state",
-    "optimal_state_posterior_closed_form",
-    "outcome_distribution",
-    "phase_state",
-    "phase_state_posterior_closed_form",
-    "posterior",
-    "product_cost_closed_form",
-    "product_state",
-    "run_simulation",
-    "scan_n",
-    "smallest_eigenpair",
-    "state_for",
-    "wrap_angle",
-]
+__all__ = [*states.__all__, *cost.__all__, *solver.__all__, *measurement.__all__, *sim.__all__]

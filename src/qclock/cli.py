@@ -19,7 +19,7 @@ import atexit
 import gc
 import json
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from itertools import chain
 from pathlib import Path
 
@@ -27,6 +27,7 @@ import numpy as np
 
 from .cost import CANONICAL_LABELS, canonical_cost, mean_cost_bound
 from .measurement import (
+    _posterior_grid_minimum,
     measurement_times,
     mutual_information_bits,
     posterior,
@@ -35,6 +36,7 @@ from .measurement import (
 from .sim import (
     KINDS,
     _STATE_KINDS,
+    ScanRow,
     SimConfig,
     _check_kind,
     run_simulation,
@@ -161,8 +163,9 @@ def cmd_state(args) -> int:
 def cmd_posterior(args) -> int:
     _require_cost(args)
     grid_size = args.grid if args.grid is not None else 16 * (args.n + 1)
-    if grid_size < 4 * (args.n + 1):
-        raise UsageError(f"--grid must be at least {4 * (args.n + 1)} for n={args.n}")
+    minimum = _posterior_grid_minimum(args.n + 1)
+    if grid_size < minimum:
+        raise UsageError(f"--grid must be at least {minimum} for n={args.n}")
     if not 0 <= args.outcome <= args.n:
         raise UsageError(f"--outcome must be in 0..{args.n}")
     state = state_for(args.kind, args.n, args.cost)
@@ -221,8 +224,7 @@ def cmd_scan(args) -> int:
     n_values = _parse_range(args.n)
     rows = scan_n(kinds, args.cost, n_values)
     # ScanRow's fields in order, with n_ions named n
-    names = ("n", "kind", "mean_cost", "delta_t", "mutual_information_bits",
-             "matches_phase_state", "error")
+    names = ["n" if field.name == "n_ions" else field.name for field in fields(ScanRow)]
     payload = [dict(zip(names, astuple(row))) for row in rows]
     columns = {name: [entry[name] for entry in payload] for name in names}
     params = {"kinds": ",".join(kinds), "cost": args.cost, "n": args.n}

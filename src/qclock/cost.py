@@ -21,6 +21,7 @@ from .states import (
     ClockState,
     _check_n_ions,
     _compensated_cumsum,
+    _freeze,
     _is_integer,
     _root_binomial_weights,
 )
@@ -52,11 +53,10 @@ class CostFunction:
     label: str = "custom"
 
     def __post_init__(self):
-        coeffs = np.array(self.coefficients, dtype=float).reshape(-1)
+        object.__setattr__(self, "coefficients", np.ravel(self.coefficients))
+        coeffs = _freeze(self, "coefficients")
         if coeffs.size and np.any(coeffs < 0.0):
             raise ValueError("cosine coefficients w_k (k >= 1) must be nonnegative")
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "w0", float(self.w0))
 
     @property
@@ -78,11 +78,9 @@ class CostMatrix:
     column: np.ndarray
 
     def __post_init__(self):
-        column = np.array(self.column, dtype=float)
+        column = _freeze(self, "column")
         if column.ndim != 1 or column.size == 0:
             raise ValueError(f"column must be a nonempty vector, got shape {column.shape}")
-        column.flags.writeable = False
-        object.__setattr__(self, "column", column)
 
     @property
     def dim(self) -> int:

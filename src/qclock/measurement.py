@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostFunction, _deficit_steps, _sum_of_squares, mean_cost_bound
-from .states import ClockState, _check_n_ions, _compensated_cumsum, _is_integer
+from .states import ClockState, _check_n_ions, _compensated_cumsum, _freeze, _is_integer
 
 TWO_PI = 2.0 * np.pi
 _BOOLE_START = 64
@@ -70,7 +70,7 @@ class OutcomeDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        probs = np.array(self.probabilities, dtype=float)
+        probs = _freeze(self, "probabilities")
         if probs.shape != (self.n_ions + 1,):
             raise ValueError(f"expected {self.n_ions + 1} probabilities")
         if not (np.isfinite(probs).all() and (probs >= 0.0).all()):
@@ -78,8 +78,6 @@ class OutcomeDistribution:
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"outcome probabilities sum to {total}, not 1")
-        probs.flags.writeable = False
-        object.__setattr__(self, "probabilities", probs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +89,8 @@ class PosteriorGrid:
     density: np.ndarray
 
     def __post_init__(self):
-        grid = np.array(self.grid, dtype=float)
-        density = np.array(self.density, dtype=float)
+        grid = _freeze(self, "grid")
+        density = _freeze(self, "density")
         if grid.shape != density.shape or grid.ndim != 1:
             raise ValueError("grid and density must be 1-d arrays of equal length")
         finite = np.isfinite(grid).all() and np.isfinite(density).all()
@@ -101,10 +99,6 @@ class PosteriorGrid:
         integral = float(density.sum() * (TWO_PI / density.size))
         if abs(integral - 1.0) > 1e-8:
             raise ValueError(f"posterior integrates to {integral}, not 1")
-        grid.flags.writeable = False
-        density.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "density", density)
 
 
 @dataclass(frozen=True)
@@ -214,6 +208,11 @@ def _check_grid(grid_size: int, minimum: int) -> None:
         raise ValueError(f"grid_size must be an integer >= {minimum}, got {grid_size!r}")
 
 
+def _posterior_grid_minimum(dim: int) -> int:
+    """The least grid size a posterior of N+1 = dim outcomes takes: 4(N+1)."""
+    return 4 * dim
+
+
 def _check_outcome(outcome_index: int, dim: int) -> None:
     if not _is_integer(outcome_index) or not 0 <= outcome_index < dim:
         raise ValueError(
@@ -232,7 +231,7 @@ def posterior(state: ClockState, outcome_index: int, grid_size: int) -> Posterio
     """
     dim = state.dim
     _check_outcome(outcome_index, dim)
-    _check_grid(grid_size, 4 * dim)
+    _check_grid(grid_size, _posterior_grid_minimum(dim))
     residues = np.arange(dim, dtype=np.int64) * outcome_index % dim
     phases = np.exp(1j * (TWO_PI * residues / dim))
     weight = _kernel_on_grid(state.amplitudes * phases, grid_size)
@@ -248,7 +247,7 @@ def _grid_offsets(n_ions: int, outcome_index: int, grid_size: int) -> np.ndarray
     _check_n_ions(n_ions)
     dim = n_ions + 1
     _check_outcome(outcome_index, dim)
-    _check_grid(grid_size, 4 * dim)
+    _check_grid(grid_size, _posterior_grid_minimum(dim))
     period = grid_size * dim
     half = period // 2  # the arange is half - nu = half + j G - g (N+1), before the mod
     start = half + outcome_index * grid_size

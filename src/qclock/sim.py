@@ -70,6 +70,7 @@ from .solver import SolverConvergenceError, optimal_state
 from .states import (
     ClockState,
     _check_n_ions,
+    _freeze,
     _is_integer,
     max_energy_spread_state,
     phase_state,
@@ -184,12 +185,8 @@ class SimResult:
     bin_edges: np.ndarray
 
     def __post_init__(self):
-        counts = np.array(self.histogram, dtype=np.int64)
-        edges = np.array(self.bin_edges, dtype=float)
-        counts.flags.writeable = False
-        edges.flags.writeable = False
-        object.__setattr__(self, "histogram", counts)
-        object.__setattr__(self, "bin_edges", edges)
+        _freeze(self, "histogram", np.int64)
+        _freeze(self, "bin_edges")
 
 
 def _node_offsets(dim: int) -> np.ndarray:
@@ -219,16 +216,14 @@ def _cdf_table(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(cdf.T), guide
 
 
-def _barycentric_weights(x: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+def _barycentric_weights(x: np.ndarray, work: np.ndarray) -> np.ndarray:
     """w with p(x) = w . p(_NODES) for every polynomial p of degree < d.
 
     The second barycentric formula, stable at Chebyshev points; an x that
     lands on a node gets that node's unit vector. The gaps x - _NODES and
     the weights are written to the first and second plane of ``work``, a
-    (2, >= x.size, d) buffer, or of a new one.
+    (2, >= x.size, d) buffer.
     """
-    if work is None:
-        work = np.empty((2, x.size, _NODE_COUNT))
     gaps, weights = work[:, : x.size]
     np.subtract(x[:, None], _NODES, out=gaps)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -291,8 +286,7 @@ def _outcome_sampler(
     8 d = 176 bytes per level each and the guide 4 d = 88. Each sample
     depends only on its own (fraction, u), so the kernel gives the same
     errors and costs however the samples are split into blocks. ``work``
-    is a (2, >= fractions.size, d) float buffer that the kernel overwrites;
-    one is allocated when none is given.
+    is a (2, >= fractions.size, d) float buffer that the kernel overwrites.
     """
     dim = amplitudes.size
     # The cost build's transforms peak higher, so it runs before the CDF
@@ -300,9 +294,7 @@ def _outcome_sampler(
     cost_table = np.ascontiguousarray(_cost_on_grid(cost_fn, dim, _node_offsets(dim)).T)
     table, guide = _cdf_table(amplitudes)
 
-    def sample(fractions: np.ndarray, uniforms: np.ndarray, work: np.ndarray | None = None):
-        if work is None:
-            work = np.empty((2, fractions.size, _NODE_COUNT))
+    def sample(fractions: np.ndarray, uniforms: np.ndarray, work: np.ndarray):
         x = 2.0 * fractions - 1.0
         weights = _barycentric_weights(x, work)
         gathered = work[0, : fractions.size]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostFunction, CostMatrix, cost_matrix
-from .states import ClockState
+from .states import ClockState, _freeze
 
 RESIDUAL_RTOL = 1e-10
 SIGN_TOL = 1e-10
@@ -78,9 +78,7 @@ class EigenPair:
     residual_norm: float
 
     def __post_init__(self):
-        vec = np.array(self.eigenvector, dtype=float)
-        vec.flags.writeable = False
-        object.__setattr__(self, "eigenvector", vec)
+        _freeze(self, "eigenvector")
 
 
 def _tridiagonal_pair(c0: float, c1: float, dim: int):

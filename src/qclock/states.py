@@ -41,7 +41,7 @@ class ClockState:
 
     def __post_init__(self):
         _check_n_ions(self.n_ions)
-        amps = np.array(self.amplitudes, dtype=float)
+        amps = _freeze(self, "amplitudes")
         if amps.ndim != 1 or amps.size != self.n_ions + 1:
             raise ValueError(
                 f"expected {self.n_ions + 1} amplitudes for N={self.n_ions}, "
@@ -54,8 +54,6 @@ class ClockState:
         norm_sq = float(amps @ amps)
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"amplitudes not normalized: sum of squares = {norm_sq}")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def dim(self) -> int:
@@ -70,6 +68,14 @@ class EnergyStats:
     mean_energy: float
     energy_stddev: float
     resolution_bound: float
+
+
+def _freeze(obj, name: str, dtype=float) -> np.ndarray:
+    """Store a read-only ``dtype`` copy of array field ``name`` on a frozen dataclass."""
+    array = np.array(getattr(obj, name), dtype=dtype)
+    array.flags.writeable = False
+    object.__setattr__(obj, name, array)
+    return array
 
 
 def _is_integer(value) -> bool:

@@ -164,6 +164,11 @@ def test_run_simulation_golden_outputs(config, scalars, counts):
     assert result.histogram.tolist() == expected.tolist()
 
 
+def _work(samples):
+    """A sampler kernel buffer for ``samples`` draws: two (samples, d) planes."""
+    return np.empty((2, samples, sim_module._NODE_COUNT))
+
+
 def _sampler_record(caplog, config):
     """The fields of the sampler's one DEBUG record for a run of ``config``."""
     caplog.clear()
@@ -196,7 +201,8 @@ def test_sampler_costs_match_mpmath_series(config):
     fractions = np.modf(draws[:, 0] * (n_ions + 1))[0]
     times = fractions * (2.0 * np.pi / (n_ions + 1))
     amplitudes = state_for(kind, n_ions, label).amplitudes
-    m, costs, _ = sim_module._outcome_sampler(amplitudes, f)(fractions, draws[:, 1])
+    sample = sim_module._outcome_sampler(amplitudes, f)
+    m, costs, _ = sample(fractions, draws[:, 1], _work(fractions.size))
     reference = np.array([
         cost_at_outcome_mp(f.w0, f.coefficients, j, n_ions + 1, t)
         for j, t in zip(m.tolist(), times)
@@ -246,7 +252,8 @@ def test_sampler_mean_cost_keeps_its_digits_where_the_cost_is_small():
     fractions = np.modf(draws[:, 0] * (n_ions + 1))[0]
     times = fractions * (2.0 * np.pi / (n_ions + 1))
     amplitudes = state_for("optimal", n_ions, "sin2").amplitudes
-    m, costs, _ = sim_module._outcome_sampler(amplitudes, f)(fractions, draws[:, 1])
+    sample = sim_module._outcome_sampler(amplitudes, f)
+    m, costs, _ = sample(fractions, draws[:, 1], _work(fractions.size))
     reference = np.mean([
         cost_at_outcome_mp(f.w0, f.coefficients, j, n_ions + 1, t)
         for j, t in zip(m.tolist(), times)
@@ -356,7 +363,7 @@ def test_sampler_logs_one_debug_record(caplog, capsys, monkeypatch):
     draws = np.random.Generator(np.random.Philox(key=4)).random((7000, 2))
     fractions = np.modf(draws[:, 0] * 9)[0]
     sample = sim_module._outcome_sampler(phase_state(8).amplitudes, canonical_cost("sin2", 8))
-    fallbacks = sample(fractions, draws[:, 1])[2]
+    fallbacks = sample(fractions, draws[:, 1], _work(fractions.size))[2]
     assert 0 < fields["fallbacks"] == fallbacks < 7000
     assert f"fallbacks={fallbacks} " in record.getMessage()
 
@@ -386,7 +393,7 @@ def test_sampler_matches_born_row_inverse_cdf(kind, cost, n_ions):
     uniforms = rng.random(3000)
     times = fractions * (2.0 * np.pi / (n_ions + 1))
     sample = sim_module._outcome_sampler(amplitudes, canonical_cost(cost, n_ions))
-    observed, _, _ = sample(fractions, uniforms)
+    observed, _, _ = sample(fractions, uniforms, _work(fractions.size))
     assert observed.tolist() == _reference_outcomes(amplitudes, times, uniforms).tolist()
 
 
@@ -398,13 +405,13 @@ def test_interpolated_cdf_matches_born_row_cumsum(kind, n_ions):
     amplitudes = state_for(kind, n_ions, "sin2").amplitudes
     fractions = np.random.default_rng(n_ions).random(200)
     times = fractions * (2.0 * np.pi / (n_ions + 1))
-    weights = sim_module._barycentric_weights(2.0 * fractions - 1.0)
+    weights = sim_module._barycentric_weights(2.0 * fractions - 1.0, _work(fractions.size))
     interpolated = weights @ sim_module._cdf_table(amplitudes)[0].T
     assert np.max(np.abs(interpolated - _row_cdfs(amplitudes, times))) <= 1e-12
 
 
 def test_barycentric_weights_on_a_node_are_its_unit_vector():
-    weights = sim_module._barycentric_weights(np.array([-1.0, 1.0, 0.3]))
+    weights = sim_module._barycentric_weights(np.array([-1.0, 1.0, 0.3]), _work(3))
     assert weights[0].tolist() == np.eye(weights.shape[1])[-1].tolist()
     assert weights[1].tolist() == np.eye(weights.shape[1])[0].tolist()
     assert np.isfinite(weights).all()
@@ -422,7 +429,7 @@ def test_sampler_edge_times(kind, n_ions):
     times = fractions * (2.0 * np.pi / (n_ions + 1))
     uniforms = np.random.default_rng(n_ions).random(times.size)
     sample = sim_module._outcome_sampler(amplitudes, canonical_cost("abs", n_ions))
-    observed, _, _ = sample(fractions, uniforms)
+    observed, _, _ = sample(fractions, uniforms, _work(fractions.size))
     assert observed.tolist() == _reference_outcomes(amplitudes, times, uniforms).tolist()
 
 
@@ -430,7 +437,7 @@ def _bisected_draws(amplitudes, cost_fn, fractions, uniforms):
     """Every sample bisected: the reference (m, costs) of the guided kernel."""
     dim = amplitudes.size
     table, _ = sim_module._cdf_table(amplitudes)
-    weights = sim_module._barycentric_weights(2.0 * fractions - 1.0)
+    weights = sim_module._barycentric_weights(2.0 * fractions - 1.0, _work(fractions.size))
     m = sim_module._bisect(table, weights, uniforms, np.empty_like(weights))
     offsets = sim_module._node_offsets(dim)
     cost_table = np.ascontiguousarray(_cost_on_grid(cost_fn, dim, offsets).T)
@@ -481,7 +488,8 @@ def test_guided_draws_equal_bisected_draws(case):
     amplitudes, label, seed = case
     cost_fn = canonical_cost(label, amplitudes.size - 1)
     fractions, uniforms = _edge_draws(amplitudes, seed)
-    m, costs, _ = sim_module._outcome_sampler(amplitudes, cost_fn)(fractions, uniforms)
+    sample = sim_module._outcome_sampler(amplitudes, cost_fn)
+    m, costs, _ = sample(fractions, uniforms, _work(fractions.size))
     expected_m, expected_costs = _bisected_draws(amplitudes, cost_fn, fractions, uniforms)
     assert m.tolist() == expected_m.tolist()
     assert costs.tobytes() == expected_costs.tobytes()
@@ -497,7 +505,8 @@ def test_forced_fallbacks_give_the_same_draws(monkeypatch, config, start):
     cost_fn = canonical_cost(label, n_ions)
     draws = np.random.Generator(np.random.Philox(key=seed)).random((samples, 2))
     fractions = np.modf(draws[:, 0] * (n_ions + 1))[0]
-    m, costs, _ = sim_module._outcome_sampler(amplitudes, cost_fn)(fractions, draws[:, 1])
+    sample = sim_module._outcome_sampler(amplitudes, cost_fn)
+    m, costs, _ = sample(fractions, draws[:, 1], _work(fractions.size))
     pinned = 0 if start == "zero" else n_ions
     cdf_table = sim_module._cdf_table
 
@@ -507,7 +516,7 @@ def test_forced_fallbacks_give_the_same_draws(monkeypatch, config, start):
 
     monkeypatch.setattr(sim_module, "_cdf_table", pinned_guide)
     sample = sim_module._outcome_sampler(amplitudes, cost_fn)
-    forced_m, forced_costs, fallbacks = sample(fractions, draws[:, 1])
+    forced_m, forced_costs, fallbacks = sample(fractions, draws[:, 1], _work(fractions.size))
     assert forced_m.tolist() == m.tolist()
     assert forced_costs.tobytes() == costs.tobytes()
     assert fallbacks == np.count_nonzero(m != pinned)

@@ -1,8 +1,11 @@
-"""Source-layout guards: one complex transform and one cost evaluator.
+"""Source-layout guards: each of these decisions is written in one place.
 
 ``measurement._shifted_fft`` is the only place that calls ``np.fft.fft``,
 and only ``measurement.py`` uses it: every kernel, posterior and cost
 table (``_kernel_on_grid``, ``_cost_on_grid``) goes through it there.
+``states._freeze`` is the only place that makes a value object's array
+read-only. The package re-exports its modules' ``__all__`` by ``*``
+imports, so each public name is listed once, in its module.
 """
 
 import ast
@@ -55,3 +58,34 @@ def test_one_complex_transform_used_only_in_measurement():
                 users.add(path.name)
     assert fft_sites == {("measurement.py", "_shifted_fft")}
     assert users == {"measurement.py"}
+
+
+def _is_flags_writeable(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "writeable"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "flags"
+    )
+
+
+def test_arrays_are_frozen_only_by_one_helper():
+    sites = [
+        (path.name, function)
+        for path in SOURCES
+        for node, function in _enclosing_functions(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assign) and any(map(_is_flags_writeable, node.targets))
+    ]
+    assert sites == [("states.py", "_freeze")]
+
+
+def test_package_imports_its_modules_names_only_by_star():
+    tree = ast.parse(Path(qclock.__file__).read_text())
+    explicit = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module is not None
+        for alias in node.names
+        if alias.name != "*"
+    ]
+    assert explicit == []
