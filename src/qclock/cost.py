@@ -87,7 +87,7 @@ class CostMatrix:
         """Dimension N + 1."""
         return int(self.column.size)
 
-    @property
+    @cached_property
     def bandwidth(self) -> int:
         """Largest k with F_{m, m+k} != 0 (0 for a diagonal matrix)."""
         nonzero = np.flatnonzero(self.column[1:])
@@ -101,9 +101,10 @@ class CostMatrix:
 
     @cached_property
     def _circulant_spectrum(self) -> np.ndarray:
-        # F is the leading block of a symmetric circulant of power-of-two
-        # size >= 2 dim - 1, whose eigenvalues are the (real) DFT of its column.
-        size = 1 << max(2 * self.dim - 2, 1).bit_length()
+        # F is the leading block of a symmetric circulant of 5-smooth size
+        # 2M >= 2 dim, M = _smooth_size(dim), whose eigenvalues are the (real)
+        # DFT of its column.
+        size = 2 * _smooth_size(self.dim)
         embedded = np.zeros(size)
         embedded[: self.dim] = self.column
         embedded[size - self.dim + 1 :] = self.column[:0:-1]
@@ -123,7 +124,8 @@ class CostMatrix:
         """F x for a vector of matching dimension.
 
         O(N) from the two diagonals when the bandwidth is at most 1, else by
-        circulant embedding in O(N log N).
+        embedding in a circulant of 5-smooth size 2M, M the smallest
+        2^a 3^b 5^c >= N + 1, in O(N log N).
         """
         x = self._vector(x)
         if self.bandwidth <= 1:
@@ -156,6 +158,19 @@ class CostMatrix:
         else:
             coupled = float(column[1:] @ _deficits(a))
         return s * _sum_of_squares(a) - 2.0 * coupled
+
+
+def _smooth_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT transforms fast."""
+    best = 1 << max(n - 1, 0).bit_length()
+    odd = 1
+    while odd < best:
+        factor = odd
+        while factor < best:
+            best = min(best, factor << (-(-n // factor) - 1).bit_length())
+            factor *= 3
+        odd *= 5
+    return best
 
 
 def _sum_of_squares(x: np.ndarray) -> float:

@@ -11,7 +11,11 @@ no dense matrix is formed and no library eigensolver is called:
 * a wider band goes to a single-vector LOBPCG (Knyazev, SIAM J. Sci.
   Comput. 23, 517 (2001)) on ``CostMatrix.matvec``, preconditioned by
   the inverse of a shifted Strang circulant (Chan & Ng, SIAM Rev. 38,
-  427 (1996)), which one FFT pair applies.
+  427 (1996)), which one FFT pair applies. Both transforms have 5-smooth
+  lengths from the matrix's one circulant size M, the smallest
+  2^a 3^b 5^c >= N + 1: the matvec's circulant has size 2M and the
+  preconditioner's size M, with F's dimension zero-padded to it, so no
+  N + 1 with a large prime factor reaches a slow FFT.
 
 F is centrosymmetric, so each eigenvector can be taken symmetric or
 skew-symmetric under m -> N - m, and F, the circulant and the iteration
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostFunction, CostMatrix, cost_matrix
+from .cost import CostFunction, CostMatrix, _smooth_size, cost_matrix
 from .states import ClockState, _freeze
 
 RESIDUAL_RTOL = 1e-10
@@ -104,21 +108,25 @@ def _tridiagonal_pair(c0: float, c1: float, dim: int):
 
 
 def _strang_preconditioner(column: np.ndarray):
-    """r -> (C - sigma I)^{-1} r for the Strang circulant C of F.
+    """(M, r -> P^T (C - sigma I)^{-1} P r), C the Strang circulant of F.
 
-    C wraps the central band of F's column around: c_k = t_k for
-    k <= dim/2 and t_{dim-k} above. Its eigenvalues are the real DFT of
-    that column; sigma lies below the smallest by 1/dim of their spread
-    (of 1 if C = c_0 I, as when only lags beyond dim/2 are nonzero), so
-    C - sigma I is positive definite and amplifies the low modes of the
-    circulant, where F's lowest eigenvectors live.
+    C has the 5-smooth size M = ``_smooth_size(dim)`` >= dim and wraps the
+    central band of F's column around: c_k = t_j for j = min(k, M - k) if
+    j <= N, else 0. P zero-pads a vector of F's dimension to M, and P^T keeps
+    its first dim entries. C's eigenvalues are the real DFT of its column;
+    sigma lies below the smallest by 1/M of their spread (of 1 if C = c_0 I,
+    as when only lags beyond M/2 are nonzero), so C - sigma I, and with it
+    the preconditioner, is positive definite and amplifies the low modes of
+    the circulant, where F's lowest eigenvectors live. When dim is 5-smooth,
+    M = dim and C is the classical Strang circulant of F.
     """
     dim = column.size
-    half = dim // 2
-    spectrum = np.fft.rfft(np.concatenate((column[: half + 1], column[1 : dim - half][::-1]))).real
+    size = _smooth_size(dim)
+    k = np.arange(size)
+    spectrum = np.fft.rfft(np.pad(column, (0, size - dim))[np.minimum(k, size - k)]).real
     low, high = float(spectrum.min()), float(spectrum.max())
-    shifted = spectrum - (low - ((high - low) or 1.0) / dim)
-    return lambda r: np.fft.irfft(np.fft.rfft(r) / shifted, dim)
+    shifted = spectrum - (low - ((high - low) or 1.0) / size)
+    return size, lambda r: np.fft.irfft(np.fft.rfft(r, size) / shifted, size)[:dim]
 
 
 def _orthonormal(vectors: list[np.ndarray]) -> list[np.ndarray]:
@@ -176,16 +184,17 @@ def _lobpcg(matrix: CostMatrix, precondition, parity: float, start: np.ndarray, 
     return best, _MAX_ITERATIONS, best_residual
 
 
-def _log_solve(path: str, steps: tuple, residual_rel: float) -> None:
+def _log_solve(fields: dict, residual_rel: float) -> None:
     """The one DEBUG record of a solve, whether it converged or not."""
-    _LOG.debug(
-        "solver: path=%(path)s iterations=%(iterations)s residual_rel=%(residual_rel).3e",
-        {"path": path, "iterations": steps, "residual_rel": residual_rel},
-    )
+    message = "solver: path=%(path)s iterations=%(iterations)s residual_rel=%(residual_rel).3e"
+    if "circulant" in fields:
+        message += " circulant=%(circulant)d"
+    _LOG.debug(message, {**fields, "residual_rel": residual_rel})
 
 
 def _solve_smallest(matrix: CostMatrix, scale: float):
-    """(eigenvalue, vector, solver path, LOBPCG steps per parity class).
+    """(eigenvalue, vector, log fields): the solver path, the LOBPCG steps
+    per parity class and, on the LOBPCG path, the preconditioner's size.
 
     A LOBPCG run that does not converge is logged, with its best residual,
     and raises ``SolverConvergenceError``.
@@ -194,10 +203,11 @@ def _solve_smallest(matrix: CostMatrix, scale: float):
     dim = matrix.dim
     column = matrix.column
     if dim == 1:
-        return float(column[0]), np.ones(1), "dim1", ()
+        return float(column[0]), np.ones(1), {"path": "dim1", "iterations": ()}
     if matrix.bandwidth <= 1:
-        return *_tridiagonal_pair(float(column[0]), float(column[1]), dim), "closed_form", ()
-    precondition = _strang_preconditioner(column)
+        fields = {"path": "closed_form", "iterations": ()}
+        return *_tridiagonal_pair(float(column[0]), float(column[1]), dim), fields
+    size, precondition = _strang_preconditioner(column)
     # Fixed start vectors, so the result is deterministic: the positive
     # sine profile, which overlaps the optimum of every built-in cost, and
     # its skew-symmetric counterpart.
@@ -211,15 +221,16 @@ def _solve_smallest(matrix: CostMatrix, scale: float):
         vector, taken, residual = _lobpcg(matrix, precondition, parity, start, tolerance)
         vectors.append(vector)
         steps.append(taken)
+        fields = {"path": "lobpcg", "iterations": tuple(steps), "circulant": size}
         if taken == _MAX_ITERATIONS:
-            _log_solve("lobpcg", tuple(steps), residual / scale)
+            _log_solve(fields, residual / scale)
             raise SolverConvergenceError(
                 f"LOBPCG did not converge in {_MAX_ITERATIONS} iterations: "
                 f"residual {residual:.3e}, contract {tolerance:.3e}"
             )
     # The lower eigenvalue wins; on a tie the symmetric vector, listed first.
     eigenvalue, vector = min(((matrix.quadratic_form(v), v) for v in vectors), key=lambda p: p[0])
-    return eigenvalue, vector, "lobpcg", tuple(steps)
+    return eigenvalue, vector, fields
 
 
 def _inf_norm(column: np.ndarray) -> float:
@@ -240,15 +251,16 @@ def smallest_eigenpair(matrix: CostMatrix) -> EigenPair:
     Time is O(N) for a tridiagonal matrix and O(N log N) per LOBPCG step
     otherwise; memory is O(N). One DEBUG record on the ``qclock`` logger
     gives the path, the LOBPCG steps per parity class and residual/||F||_inf,
-    the best one reached when LOBPCG does not converge.
+    the best one reached when LOBPCG does not converge, and on the LOBPCG
+    path the size M of the preconditioner's circulant.
     """
     scale = _inf_norm(matrix.column) or 1.0
-    eigenvalue, vector, path, steps = _solve_smallest(matrix, scale)
+    eigenvalue, vector, fields = _solve_smallest(matrix, scale)
     vector = vector / np.linalg.norm(vector)
     if vector[np.argmax(np.abs(vector))] < 0.0:
         vector = -vector
     residual = float(np.linalg.norm(matrix.matvec(vector) - eigenvalue * vector))
-    _log_solve(path, steps, residual / scale)
+    _log_solve(fields, residual / scale)
     if residual > RESIDUAL_RTOL * scale:
         raise SolverConvergenceError(
             f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * ||F||_inf"

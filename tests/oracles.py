@@ -290,3 +290,11 @@ def random_clock_amplitudes(rng, dim: int) -> np.ndarray:
     """Random valid amplitude vector: nonnegative entries, unit norm."""
     a = np.abs(rng.standard_normal(dim))
     return a / np.linalg.norm(a)
+
+
+def is_five_smooth(n: int) -> bool:
+    """True when the positive integer n has no prime factor above 5."""
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1

@@ -396,11 +396,17 @@ def test_gnuplot_companion_script(capsys, tmp_path):
 # residues k j mod (N+1) instead of the float k t_j: 27 of its 30 JSON
 # densities and one CSV cell (the zero at T = pi, 5.04e-33 -> 6.93e-33) moved,
 # and its largest error against an mpmath sum over the stored amplitudes went
-# from 4.8e-16 to 2.7e-16 of the peak.
+# from 4.8e-16 to 2.7e-16 of the peak. The abs state JSON was re-pinned when
+# LOBPCG's transforms moved to 5-smooth circulant sizes: the two edge
+# amplitudes went 0.22043573157614457 -> 0.2204357315761446 (mpmath
+# 0.220435731576144543, 1.06 -> 2.06 ulp), mean_cost 0.31175147740864295 ->
+# 0.3117514774086429 (mpmath 0.311751477408642903, 0.88 -> 0.12 ulp) and
+# mean_energy 3.0000000000000004 -> 3.000000000000001 (exactly 3); the
+# largest amplitude error stayed 5.55e-17, and the CSV digest did not move.
 GOLDEN_COMMANDS = [
     (["state", "--kind", "optimal", "--cost", "abs", "--n", "6"],
      "bc256ed713aef225f98ba787a4098f9586aebe94d7578a2c1c0673356dd7cdd5",
-     "fcd8621a7562c52b5e6318601beacee4cab62d60809754313e844eb57f8a110a"),
+     "6bc68cd081d1ead2a1a022280aa02134f8bbc19c3cc7a3b2fee8fa0ae6973be5"),
     (["posterior", "--kind", "product", "--n", "5", "--outcome", "2", "--grid", "30"],
      "4bd51598b640eff2976e7df78552a7f4f61736792d877ed45c85f886859c778f",
      "7cd775955f9fe72dba7d20b4b9519b05bc3d62887b77fca76854f0c51465cc8d"),

@@ -23,11 +23,12 @@ from qclock import (
     smallest_eigenpair,
     state_for,
 )
-from qclock.cost import _deficits
+from qclock.cost import _deficits, _smooth_size
 import qclock.cost as cost_module
 
 from oracles import (
     exact_deficits,
+    is_five_smooth,
     product_cost_mp,
     random_clock_amplitudes,
     rayleigh_quotient_mp,
@@ -176,6 +177,32 @@ def test_banded_matvec_matches_dense_product(bandwidth):
             matrix.matvec(x), matrix.entries @ x, rtol=0, atol=1e-15 * scale
         )
         assert "_circulant_spectrum" not in vars(matrix)
+
+
+@example(n=1)
+@example(n=3001)
+@example(n=10**6)
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 10**6))
+def test_smooth_size_is_the_next_five_smooth_integer(n):
+    size = _smooth_size(n)
+    assert size >= n and is_five_smooth(size)
+    assert not any(is_five_smooth(k) for k in range(n, size))
+
+
+@pytest.mark.parametrize("dim", [101, 487, 1009, 1025])
+def test_wide_matvec_matches_dense_product_off_smooth_sizes(dim):
+    # Primes, or just above a smooth size (1025 = 1024 + 1), where the
+    # circulant is padded furthest.
+    rng = np.random.default_rng(dim)
+    matrix = CostMatrix(rng.standard_normal(dim))
+    for _ in range(3):
+        x = rng.standard_normal(dim)
+        scale = np.abs(matrix.column).sum() * np.abs(x).max()
+        np.testing.assert_allclose(
+            matrix.matvec(x), matrix.entries @ x, rtol=0, atol=1e-13 * scale
+        )
+    assert vars(matrix)["_circulant_spectrum"].size == _smooth_size(dim) + 1
 
 
 def test_tridiagonal_eigenpair_builds_no_circulant_spectrum():

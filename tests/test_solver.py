@@ -21,7 +21,12 @@ from qclock import (
 from qclock import cli
 from qclock import solver as solver_module
 
-from oracles import rayleigh_quotient_mp, smallest_eigenpair_mp, smallest_eigenvalue_bisection
+from oracles import (
+    is_five_smooth,
+    rayleigh_quotient_mp,
+    smallest_eigenpair_mp,
+    smallest_eigenvalue_bisection,
+)
 
 SIN2 = canonical_cost("sin2", 1)
 
@@ -191,6 +196,19 @@ def test_solver_logs_one_debug_record(caplog, capsys, cost, path):
     assert f"solver: path={path}" in record.getMessage()
 
 
+def test_lobpcg_debug_record_names_a_smooth_circulant(caplog):
+    n = 100  # N + 1 = 101 is prime
+    with caplog.at_level(logging.DEBUG, logger="qclock"):
+        smallest_eigenpair(cost_matrix(canonical_cost("abs", n), n))
+        smallest_eigenpair(cost_matrix(SIN2, n))
+    lobpcg, closed_form = (record.args for record in caplog.records)
+    size = lobpcg["circulant"]
+    assert size >= n + 1 and is_five_smooth(size)
+    assert f"circulant={size}" in caplog.records[0].getMessage()
+    assert "circulant" not in closed_form
+    assert "circulant" not in caplog.records[1].getMessage()
+
+
 def sign_fixed(vector):
     return vector if vector[np.argmax(np.abs(vector))] > 0 else -vector
 
@@ -234,6 +252,28 @@ def test_abs_optimum_matches_mpmath_eigenvector(n):
     assert np.max(np.abs(pair.eigenvector - vector)) <= 1e-14
     assert abs(pair.eigenvalue - value) <= 1e-14 * value
     np.testing.assert_array_equal(pair.eigenvector, pair.eigenvector[::-1])
+
+
+@pytest.mark.parametrize("n", [100, 130])
+@pytest.mark.parametrize("label", ["abs", "abs_sin_half"])
+def test_optimum_at_prime_dimension_matches_mpmath_eigenvector(label, n):
+    # N + 1 = 101 and 131 are prime, so both circulants are zero-padded.
+    matrix = cost_matrix(canonical_cost(label, n), n)
+    value, vector, residual = smallest_eigenpair_mp(matrix.entries)
+    assert residual <= 1e-30
+    pair = smallest_eigenpair(matrix)
+    assert np.max(np.abs(pair.eigenvector - vector)) <= 1e-14
+    assert abs(pair.eigenvalue - value) <= 1e-14 * value
+    np.testing.assert_array_equal(pair.eigenvector, pair.eigenvector[::-1])
+
+
+@pytest.mark.parametrize("label", ["abs", "abs_sin_half", "neg_delta"])
+def test_eigenvalue_at_prime_dimension_1009_matches_dense(label):
+    n = 1008
+    matrix = cost_matrix(canonical_cost(label, n), n)
+    pair = smallest_eigenpair(matrix)
+    dense = np.linalg.eigvalsh(matrix.entries)[0]
+    assert abs(pair.eigenvalue - dense) <= 1e-12 * abs(dense)
 
 
 def test_mpmath_eigenpair_oracle_agrees_with_eigsy():
