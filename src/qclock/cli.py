@@ -68,12 +68,41 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for a value nested at indent ``pad``.
+
+    The bytes are the same, but each non-empty list of scalars goes to
+    json's C encoder in one call, which only encodes without ``indent``:
+    its item separator carries the newline and the indent instead. Tuples
+    print as lists and keys as strings.
+    """
+    inner = pad + "  "
+    separator = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = separator.join(f"{json.dumps(str(key))}: {_json(item, inner)}"
+                              for key, item in value.items())
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if not isinstance(value, (list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "[]"
+    if any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, value))):
+        body = separator.join(_json(item, inner) for item in value)
+    else:
+        body = json.dumps(value, separators=(separator, ": "))[1:-1]
+    return f"[\n{inner}{body}\n{pad}]"
+
+
 def _emit(args, command, params, payload, columns) -> None:
     """Write ``payload`` to stdout in ``args.format``.
 
-    JSON prints the payload unchanged. CSV prints the payload's scalar
-    entries that are not columns as ``# name=value`` lines, then a header
-    and the rows of ``columns``, a dict of equal-length sequences.
+    JSON prints the payload unchanged, in bytes equal to
+    ``json.dumps(record, indent=2)`` (written by ``_json``). CSV prints the
+    payload's scalar entries that are not columns as ``# name=value``
+    lines, then a header and the rows of ``columns``, a dict of
+    equal-length sequences.
     """
     given = {k: v for k, v in params.items() if v is not None}
     if args.format == "json":
@@ -83,7 +112,7 @@ def _emit(args, command, params, payload, columns) -> None:
             "args": given,
             "payload": payload,
         }
-        sys.stdout.write(json.dumps(record, indent=2) + "\n")
+        sys.stdout.write(_json(record) + "\n")
         return
     echo = " ".join([command] + [f"{k}={v}" for k, v in given.items()])
     lines = [f"# schema_version={SCHEMA_VERSION}", f"# command={echo}"]

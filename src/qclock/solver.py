@@ -9,13 +9,17 @@ no dense matrix is formed and no library eigensolver is called:
   lambda = c0 - 2|c1| cos(pi/(N+2)), v_m = sin((m+1) pi/(N+2)), with the
   signs alternating when c1 > 0;
 * a wider band goes to a single-vector LOBPCG (Knyazev, SIAM J. Sci.
-  Comput. 23, 517 (2001)) on ``CostMatrix.matvec``, preconditioned by
-  the inverse of a shifted Strang circulant (Chan & Ng, SIAM Rev. 38,
-  427 (1996)), which one FFT pair applies. Both transforms have 5-smooth
-  lengths from the matrix's one circulant size M, the smallest
-  2^a 3^b 5^c >= N + 1: the matvec's circulant has size 2M and the
-  preconditioner's size M, with F's dimension zero-padded to it, so no
-  N + 1 with a large prime factor reaches a slow FFT.
+  Comput. 23, 517 (2001)) that applies ``CostMatrix.matvec`` once per
+  step, to the new search direction: F x and F times the previous step
+  are carried along as combinations of images (Hetmaniuk & Lehoucq,
+  J. Comput. Phys. 218, 324 (2006)), and F x is recomputed every few
+  steps and on every step near convergence. It is preconditioned by the
+  inverse of a shifted Strang circulant (Chan & Ng, SIAM Rev. 38, 427
+  (1996)), which one FFT pair applies. Both transforms have 5-smooth
+  lengths: the matvec's circulant has size 2M, M the smallest
+  2^a 3^b 5^c >= N + 1, and the preconditioner's the smallest one
+  > N + 1, with F's dimension zero-padded to it, so no N + 1 with a large
+  prime factor reaches a slow FFT.
 
 F is centrosymmetric, so each eigenvector can be taken symmetric or
 skew-symmetric under m -> N - m, and F, the circulant and the iteration
@@ -50,6 +54,12 @@ _STALL_STEPS = 3
 # A search direction is dropped when less than this fraction of it is
 # orthogonal to the directions before it.
 _DROP_TOL = 1e-13
+# LOBPCG carries F x as a combination of images and recomputes it by a true
+# matvec every this many steps. Each step near convergence recomputes it as
+# well, so the period moves the count little: with 2 a solve of a built-in
+# cost makes at most S + ceil(S/2) + 8 matvecs in S steps, a bound that 3
+# breaks (abs at N = 3000: 36 matvecs against S + ceil(S/3) + 8 = 35).
+_REFRESH_STEPS = 2
 _LOG = logging.getLogger("qclock")
 
 __all__ = [
@@ -110,18 +120,20 @@ def _tridiagonal_pair(c0: float, c1: float, dim: int):
 def _strang_preconditioner(column: np.ndarray):
     """(M, r -> P^T (C - sigma I)^{-1} P r), C the Strang circulant of F.
 
-    C has the 5-smooth size M = ``_smooth_size(dim)`` >= dim and wraps the
-    central band of F's column around: c_k = t_j for j = min(k, M - k) if
-    j <= N, else 0. P zero-pads a vector of F's dimension to M, and P^T keeps
-    its first dim entries. C's eigenvalues are the real DFT of its column;
-    sigma lies below the smallest by 1/M of their spread (of 1 if C = c_0 I,
-    as when only lags beyond M/2 are nonzero), so C - sigma I, and with it
-    the preconditioner, is positive definite and amplifies the low modes of
-    the circulant, where F's lowest eigenvectors live. When dim is 5-smooth,
-    M = dim and C is the classical Strang circulant of F.
+    C has the 5-smooth size M = ``_smooth_size(dim + 1)`` > dim and wraps
+    the central band of F's column around: c_k = t_j for j = min(k, M - k)
+    if j <= N, else 0. P zero-pads a vector of F's dimension to M, and P^T
+    keeps its first dim entries. C's eigenvalues are the real DFT of its
+    column; sigma lies below the smallest by 1/M of their spread (of 1 if
+    C = c_0 I, as when only lags beyond M/2 are nonzero), so C - sigma I,
+    and with it the preconditioner, is positive definite and amplifies the
+    low modes of the circulant, where F's lowest eigenvectors live. M is
+    never dim itself: where dim is 5-smooth, the classical Strang circulant
+    of size dim took 1-4 more steps than this padded one (abs and
+    abs_sin_half at dim = 512 ... 10000).
     """
     dim = column.size
-    size = _smooth_size(dim)
+    size = _smooth_size(dim + 1)
     k = np.arange(size)
     spectrum = np.fft.rfft(np.pad(column, (0, size - dim))[np.minimum(k, size - k)]).real
     low, high = float(spectrum.min()), float(spectrum.max())
@@ -129,64 +141,129 @@ def _strang_preconditioner(column: np.ndarray):
     return size, lambda r: np.fft.irfft(np.fft.rfft(r, size) / shifted, size)[:dim]
 
 
-def _orthonormal(vectors: list[np.ndarray]) -> list[np.ndarray]:
-    """Gram-Schmidt, applied twice, dropping numerically dependent vectors."""
-    basis: list[np.ndarray] = []
-    for v in vectors:
-        size = float(np.linalg.norm(v))
+def _norm(v: np.ndarray) -> float:
+    # np.linalg.norm's own formula for a real vector, without its overhead,
+    # which LOBPCG pays ~9 times a step.
+    return math.sqrt(v @ v)
+
+
+def _orthonormal(pairs: list[tuple[np.ndarray, np.ndarray | None]], matvec):
+    """Gram-Schmidt on (v, F v) pairs, applied twice, dropping numerically
+    dependent vectors; each image takes the coefficients of its vector.
+
+    A pair given as (v, None) takes ``matvec`` of its orthonormalized v
+    instead. The given arrays become the basis, updated in place through
+    one scratch buffer: at large N a fresh temporary costs more than the
+    arithmetic.
+    """
+    basis: list[tuple[np.ndarray, np.ndarray]] = []
+    scratch = np.empty(pairs[0][0].size)
+    for v, fv in pairs:
+        size = _norm(v)
         for _ in range(2):
-            for q in basis:
-                v = v - (q @ v) * q
-        norm = float(np.linalg.norm(v))
+            for q, fq in basis:
+                coefficient = q @ v
+                v -= np.multiply(coefficient, q, out=scratch)
+                if fv is not None:
+                    fv -= np.multiply(coefficient, fq, out=scratch)
+        norm = _norm(v)
         if norm > _DROP_TOL * size:
-            basis.append(v / norm)
+            v /= norm
+            if fv is None:
+                fv = matvec(v)
+            else:
+                fv /= norm
+            basis.append((v, fv))
     return basis
 
 
-def _lobpcg(matrix: CostMatrix, precondition, parity: float, start: np.ndarray, tolerance: float):
+def _residual(x: np.ndarray, fx: np.ndarray):
+    """(F x - (x.F x) x, its norm) for a unit x and its image F x."""
+    gradient = fx - float(x @ fx) * x
+    return gradient, _norm(gradient)
+
+
+def _rayleigh_ritz(basis: list[tuple[np.ndarray, np.ndarray]]):
+    """(x, F x, step, F step) of the lowest Ritz vector over an orthonormal
+    basis of (v, F v) pairs, step being its part outside the first vector.
+
+    The Gram matrix is taken from dot products, and each image is the same
+    combination of the basis images as its vector of the basis vectors.
+    The combinations overwrite the basis. They are elementwise sums, not a
+    matrix product, which round mirrored entries alike, so x and the step
+    stay exactly in their class.
+    """
+    gram = np.array([[q @ fv for _, fv in basis] for q, _ in basis])
+    weights = np.linalg.eigh(0.5 * (gram + gram.T))[1][:, 0]
+    (x, fx), *rest = basis
+    step, f_step = np.zeros(x.size), np.zeros(x.size)
+    for weight, (v, fv) in zip(weights[1:], rest):
+        step += np.multiply(weight, v, out=v)
+        f_step += np.multiply(weight, fv, out=fv)
+    x *= weights[0]
+    x += step
+    fx *= weights[0]
+    fx += f_step
+    return x, fx, step, f_step
+
+
+def _lobpcg(matvec, precondition, parity: float, start: np.ndarray, tolerance: float):
     """Lowest unit eigenvector of F among vectors with v[::-1] = parity * v.
 
     Each step takes the Rayleigh-Ritz minimum over the current vector x,
-    the preconditioned residual and the previous step. Returns the x with
-    the smallest residual, the number of steps taken and that residual:
-    once the residual is at most ``tolerance`` and has stagnated, or with
-    ``_MAX_ITERATIONS`` steps when that does not happen.
+    the previous step and the projected, preconditioned residual w,
+    orthonormalized in that order, and applies ``matvec`` (F) once, to the
+    orthonormalized w. F x and F step are carried along as the same
+    combinations of images as x and the step (Hetmaniuk & Lehoucq,
+    J. Comput. Phys. 218, 324 (2006)). w's image is not: near convergence
+    w lies almost in the span of the others, and its image formed by the
+    same cancellation would lose the digits a true matvec keeps. F x is
+    recomputed by a true matvec every ``_REFRESH_STEPS`` steps, and on
+    every step once the residual is within ``tolerance``, so the stall
+    test, the best vector and its residual rest on true images. Returns
+    the x with the smallest residual, the number of steps taken and that
+    residual: once the residual is at most ``tolerance`` and has
+    stagnated, or with ``_MAX_ITERATIONS`` steps when that does not happen.
     """
     def project(v):
         return 0.5 * (v + parity * v[::-1])
 
     x = project(start)
-    step = None
+    fx = None
+    previous = []
     best_residual, best = math.inf, x
     stalls = 0
+    period = _REFRESH_STEPS
     for steps in range(_MAX_ITERATIONS):
-        x = x / np.linalg.norm(x)
-        fx = matrix.matvec(x)
-        eigenvalue = float(x @ fx)
-        gradient = fx - eigenvalue * x
-        residual = float(np.linalg.norm(gradient))
+        norm = _norm(x)
+        x /= norm
+        if steps % period:
+            fx /= norm
+            gradient, residual = _residual(x, fx)
+            if residual <= tolerance:
+                period = 1  # from here on, every F x is a true matvec
+        if steps % period == 0:
+            fx = matvec(x)
+            gradient, residual = _residual(x, fx)
         stalls = 0 if residual < 0.5 * best_residual else stalls + 1
         if residual < best_residual:
             best_residual, best = residual, x
         if residual == 0.0 or (best_residual <= tolerance and stalls >= _STALL_STEPS):
             return best, steps, best_residual
-        directions = [x, project(precondition(gradient))]
-        if step is not None:
-            directions.append(step)
-        basis = _orthonormal(directions)
-        images = [fx] + [matrix.matvec(v) for v in basis[1:]]
-        gram = np.column_stack(basis).T @ np.column_stack(images)
-        weights = np.linalg.eigh(0.5 * (gram + gram.T))[1][:, 0]
-        # Elementwise sums, not a matrix product, round mirrored entries
-        # alike, so x and the step stay exactly in their class.
-        step = sum((w * v for w, v in zip(weights[1:], basis[1:])), np.zeros(x.size))
-        x = weights[0] * basis[0] + step
+        # The basis overwrites its arrays, and x may be the best vector.
+        x, fx, step, f_step = _rayleigh_ritz(_orthonormal(
+            [(x.copy(), fx)] + previous + [(project(precondition(gradient)), None)], matvec
+        ))
+        previous = [(step, f_step)]
     return best, _MAX_ITERATIONS, best_residual
 
 
 def _log_solve(fields: dict, residual_rel: float) -> None:
     """The one DEBUG record of a solve, whether it converged or not."""
-    message = "solver: path=%(path)s iterations=%(iterations)s residual_rel=%(residual_rel).3e"
+    message = (
+        "solver: path=%(path)s iterations=%(iterations)s residual_rel=%(residual_rel).3e"
+        " matvecs=%(matvecs)d"
+    )
     if "circulant" in fields:
         message += " circulant=%(circulant)d"
     _LOG.debug(message, {**fields, "residual_rel": residual_rel})
@@ -194,7 +271,8 @@ def _log_solve(fields: dict, residual_rel: float) -> None:
 
 def _solve_smallest(matrix: CostMatrix, scale: float):
     """(eigenvalue, vector, log fields): the solver path, the LOBPCG steps
-    per parity class and, on the LOBPCG path, the preconditioner's size.
+    per parity class, the matvecs made and, on the LOBPCG path, the
+    preconditioner's size.
 
     A LOBPCG run that does not converge is logged, with its best residual,
     and raises ``SolverConvergenceError``.
@@ -203,9 +281,9 @@ def _solve_smallest(matrix: CostMatrix, scale: float):
     dim = matrix.dim
     column = matrix.column
     if dim == 1:
-        return float(column[0]), np.ones(1), {"path": "dim1", "iterations": ()}
+        return float(column[0]), np.ones(1), {"path": "dim1", "iterations": (), "matvecs": 0}
     if matrix.bandwidth <= 1:
-        fields = {"path": "closed_form", "iterations": ()}
+        fields = {"path": "closed_form", "iterations": (), "matvecs": 0}
         return *_tridiagonal_pair(float(column[0]), float(column[1]), dim), fields
     size, precondition = _strang_preconditioner(column)
     # Fixed start vectors, so the result is deterministic: the positive
@@ -216,12 +294,20 @@ def _solve_smallest(matrix: CostMatrix, scale: float):
     classes = [(1.0, sine)]
     if np.any(column[1:] > 0.0):
         classes.append((-1.0, sine * (2 * m + 1 - dim)))
+    matvecs = 0
+
+    def matvec(v):
+        nonlocal matvecs
+        matvecs += 1
+        return matrix.matvec(v)
+
     vectors, steps = [], []
     for parity, start in classes:
-        vector, taken, residual = _lobpcg(matrix, precondition, parity, start, tolerance)
+        vector, taken, residual = _lobpcg(matvec, precondition, parity, start, tolerance)
         vectors.append(vector)
         steps.append(taken)
-        fields = {"path": "lobpcg", "iterations": tuple(steps), "circulant": size}
+        fields = {"path": "lobpcg", "iterations": tuple(steps), "matvecs": matvecs,
+                  "circulant": size}
         if taken == _MAX_ITERATIONS:
             _log_solve(fields, residual / scale)
             raise SolverConvergenceError(
@@ -251,7 +337,8 @@ def smallest_eigenpair(matrix: CostMatrix) -> EigenPair:
     Time is O(N) for a tridiagonal matrix and O(N log N) per LOBPCG step
     otherwise; memory is O(N). One DEBUG record on the ``qclock`` logger
     gives the path, the LOBPCG steps per parity class and residual/||F||_inf,
-    the best one reached when LOBPCG does not converge, and on the LOBPCG
+    the best one reached when LOBPCG does not converge, the number of
+    ``CostMatrix.matvec`` calls, this check's included, and on the LOBPCG
     path the size M of the preconditioner's circulant.
     """
     scale = _inf_norm(matrix.column) or 1.0
@@ -260,6 +347,7 @@ def smallest_eigenpair(matrix: CostMatrix) -> EigenPair:
     if vector[np.argmax(np.abs(vector))] < 0.0:
         vector = -vector
     residual = float(np.linalg.norm(matrix.matvec(vector) - eigenvalue * vector))
+    fields["matvecs"] += 1
     _log_solve(fields, residual / scale)
     if residual > RESIDUAL_RTOL * scale:
         raise SolverConvergenceError(

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclock import cli
 import qclock.sim as sim_module
@@ -403,10 +405,16 @@ def test_gnuplot_companion_script(capsys, tmp_path):
 # 0.3117514774086429 (mpmath 0.311751477408642903, 0.88 -> 0.12 ulp) and
 # mean_energy 3.0000000000000004 -> 3.000000000000001 (exactly 3); the
 # largest amplitude error stayed 5.55e-17, and the CSV digest did not move.
+# The abs state JSON was re-pinned when LOBPCG moved to one matvec per step,
+# carrying F x and F step as combinations of images: the two edge amplitudes
+# went 0.2204357315761446 -> 0.22043573157614454 (2.06 -> 0.06 ulp from
+# mpmath), the two at m = 2, 4 went 0.44878512480305094 -> 0.4487851248030509
+# (mpmath 0.448785124803050877, 1.11 -> 0.11 ulp) and mean_energy
+# 3.000000000000001 -> 3.0 (exact); mean_cost and the CSV digest did not move.
 GOLDEN_COMMANDS = [
     (["state", "--kind", "optimal", "--cost", "abs", "--n", "6"],
      "bc256ed713aef225f98ba787a4098f9586aebe94d7578a2c1c0673356dd7cdd5",
-     "6bc68cd081d1ead2a1a022280aa02134f8bbc19c3cc7a3b2fee8fa0ae6973be5"),
+     "70005e3f3dde32a0335f97de2a62e8311bbd26c785362b9257adf8a0cc3ba235"),
     (["posterior", "--kind", "product", "--n", "5", "--outcome", "2", "--grid", "30"],
      "4bd51598b640eff2976e7df78552a7f4f61736792d877ed45c85f886859c778f",
      "7cd775955f9fe72dba7d20b4b9519b05bc3d62887b77fca76854f0c51465cc8d"),
@@ -435,6 +443,29 @@ def test_cli_golden_outputs(capsys, argv, csv_sha256, json_sha256, fmt):
     assert (code, err) == (0, "")
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == (csv_sha256 if fmt == "csv" else json_sha256)
+
+
+JSON_SCALARS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.2250738585072e-308]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple), st.dictionaries(st.text(), children)
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_equals_indented_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
 
 
 def run_child(*args):

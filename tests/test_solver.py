@@ -1,4 +1,5 @@
 import logging
+import math
 import tracemalloc
 
 import numpy as np
@@ -102,8 +103,8 @@ def test_lobpcg_path_agrees_with_dense():
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_lobpcg_lag_two_cost_agrees_with_dense(n):
-    # At N = 2 the only coupling lies beyond dim/2, so the Strang circulant
-    # of F is the identity.
+    # At N = 2 the only coupling lies beyond dim/2: a Strang circulant of
+    # size dim = 3 would drop it, and the padded one of size 4 keeps it.
     matrix = cost_matrix(CostFunction(1.0, np.array([0.0, 1.0])), n)
     pair = smallest_eigenpair(matrix)
     assert abs(pair.eigenvalue - np.linalg.eigvalsh(matrix.entries)[0]) <= 1e-14
@@ -209,6 +210,36 @@ def test_lobpcg_debug_record_names_a_smooth_circulant(caplog):
     assert "circulant" not in caplog.records[1].getMessage()
 
 
+def test_debug_record_counts_every_matvec(caplog, monkeypatch):
+    calls = []
+    matvec = CostMatrix.matvec
+
+    def counted(self, x):
+        calls.append(x.size)
+        return matvec(self, x)
+
+    monkeypatch.setattr(CostMatrix, "matvec", counted)
+    costs = [("abs", 100), ("abs", 3000), ("abs", 10**4), ("abs_sin_half", 130),
+             ("neg_delta", 1008), ("sin2", 30)]
+    # A random column has positive off-diagonals, so both parity classes run.
+    skew = CostMatrix(np.random.default_rng(5).standard_normal(60))
+    for matrix in [cost_matrix(canonical_cost(label, n), n) for label, n in costs] + [skew]:
+        calls.clear()
+        with caplog.at_level(logging.DEBUG, logger="qclock"):
+            smallest_eigenpair(matrix)
+        fields = caplog.records[-1].args
+        assert fields["matvecs"] == len(calls) > 0
+        assert f"matvecs={len(calls)}" in caplog.records[-1].getMessage()
+        if fields["path"] == "lobpcg" and matrix is not skew:
+            # One matvec per step, a true F x every _REFRESH_STEPS steps and
+            # on each of the last few, and the final residual check. (The
+            # random matrix stagnates slowly, and its steps after reaching
+            # the tolerance each take a second matvec.)
+            steps = sum(fields["iterations"])
+            assert len(calls) <= steps + math.ceil(steps / solver_module._REFRESH_STEPS) + 8
+    assert len(fields["iterations"]) == 2
+
+
 def sign_fixed(vector):
     return vector if vector[np.argmax(np.abs(vector))] > 0 else -vector
 
@@ -272,8 +303,12 @@ def test_eigenvalue_at_prime_dimension_1009_matches_dense(label):
     n = 1008
     matrix = cost_matrix(canonical_cost(label, n), n)
     pair = smallest_eigenpair(matrix)
-    dense = np.linalg.eigvalsh(matrix.entries)[0]
-    assert abs(pair.eigenvalue - dense) <= 1e-12 * abs(dense)
+    # LAPACK's eigenvalue itself can be 2.6e-12 relative off (abs, one BLAS
+    # thread). The long-double Rayleigh quotient of its eigenvector is not:
+    # its error is quadratic in the vector's.
+    vector = np.linalg.eigh(matrix.entries)[1][:, 0].astype(np.longdouble)
+    reference = float(vector @ (matrix.entries.astype(np.longdouble) @ vector) / (vector @ vector))
+    assert abs(pair.eigenvalue - reference) <= 1e-12 * abs(reference)
 
 
 def test_mpmath_eigenpair_oracle_agrees_with_eigsy():
