@@ -1,8 +1,10 @@
 """Command-line front-end emitting versioned CSV/JSON tables.
 
-Each subcommand builds its result once, as a JSON payload and the named
-columns of its CSV table, and one writer, ``_emit``, prints it in the
-chosen ``--format``.
+Each subcommand is declared once, in the table ``_COMMANDS``, and the
+parser adds options only to the subcommand that ``argv[0]`` names. Its
+handler builds the result once, as a JSON payload and the named columns of
+its CSV table, and one writer, ``_emit``, prints it in the chosen
+``--format`` after the ``# command=`` echo of the declared options.
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 2 usage error, 3 numerical failure: eigensolver non-convergence, an
@@ -22,6 +24,7 @@ import sys
 from dataclasses import astuple, fields
 from itertools import chain
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,8 +98,8 @@ def _json(value, pad: str = "") -> str:
     return f"[\n{inner}{body}\n{pad}]"
 
 
-def _emit(args, command, params, payload, columns) -> None:
-    """Write ``payload`` to stdout in ``args.format``.
+def _emit(fmt, command, params, payload, columns) -> None:
+    """Write ``payload`` to stdout in ``fmt``, echoing the non-None ``params``.
 
     JSON prints the payload unchanged, in bytes equal to
     ``json.dumps(record, indent=2)`` (written by ``_json``). CSV prints the
@@ -105,7 +108,7 @@ def _emit(args, command, params, payload, columns) -> None:
     equal-length sequences.
     """
     given = {k: v for k, v in params.items() if v is not None}
-    if args.format == "json":
+    if fmt == "json":
         record = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
@@ -150,14 +153,14 @@ def _table(columns) -> str:
     return "\n".join([",".join(specs)] * len(rows)) % tuple(chain.from_iterable(rows))
 
 
-def _write_gnuplot(path: str, title: str, plot_line: str) -> None:
+def _write_gnuplot(path: str, title: str, plot_line: str, args) -> None:
     datafile = Path(path).with_suffix(".csv").name
     script = (
         f"# companion plot script (schema_version {SCHEMA_VERSION});"
         f" expects the CSV output in '{datafile}'\n"
         "set datafile separator ','\n"
         "set key autotitle columnhead\n"
-        f"set title '{title}'\n"
+        f"set title '{title.format_map(vars(args))}'\n"
         f"{plot_line.format(datafile=datafile)}\n"
     )
     Path(path).write_text(script, encoding="utf-8")
@@ -169,12 +172,12 @@ def _require_cost(args) -> None:
         raise UsageError(f"--cost is required when --kind is {args.kind!r}")
 
 
-def cmd_state(args) -> int:
+def cmd_state(args):
     _require_cost(args)
-    cost_label = args.cost or "sin2"
-    state = state_for(args.kind, args.n, cost_label)
+    args.cost = args.cost or "sin2"
+    state = state_for(args.kind, args.n, args.cost)
     stats = energy_stats(state)
-    cost_fn = canonical_cost(cost_label, args.n)
+    cost_fn = canonical_cost(args.cost, args.n)
     amplitudes = state.amplitudes.tolist()
     payload = {
         "amplitudes": amplitudes,
@@ -184,21 +187,19 @@ def cmd_state(args) -> int:
         "mean_cost": mean_cost_bound(state, cost_fn),
     }
     columns = {"m": range(len(amplitudes)), "amplitude": amplitudes}
-    params = {"kind": args.kind, "n": args.n, "cost": cost_label}
-    _emit(args, "state", params, payload, columns)
-    return 0
+    return payload, columns, None
 
 
-def cmd_posterior(args) -> int:
+def cmd_posterior(args):
     _require_cost(args)
-    grid_size = args.grid if args.grid is not None else 16 * (args.n + 1)
+    args.grid = args.grid or 16 * (args.n + 1)
     minimum = _posterior_grid_minimum(args.n + 1)
-    if grid_size < minimum:
+    if args.grid < minimum:
         raise UsageError(f"--grid must be at least {minimum} for n={args.n}")
     if not 0 <= args.outcome <= args.n:
         raise UsageError(f"--outcome must be in 0..{args.n}")
     state = state_for(args.kind, args.n, args.cost)
-    post = posterior(state, args.outcome, grid_size)
+    post = posterior(state, args.outcome, args.grid)
     t_r = measurement_times(args.n)[args.outcome]
     payload = {
         "outcome_time": t_r,
@@ -207,21 +208,7 @@ def cmd_posterior(args) -> int:
         "density": post.density.tolist(),
     }
     columns = {name: payload[name] for name in ("t", "offset", "density")}
-    params = {
-        "kind": args.kind,
-        "n": args.n,
-        "outcome": args.outcome,
-        "grid": grid_size,
-        "cost": args.cost,
-    }
-    if args.gnuplot:
-        _write_gnuplot(
-            args.gnuplot,
-            f"posterior density, kind={args.kind}, n={args.n}",
-            "plot '{datafile}' using 2:3 with lines",
-        )
-    _emit(args, "posterior", params, payload, columns)
-    return 0
+    return payload, columns, None
 
 
 def _parse_range(text: str) -> list[int]:
@@ -241,7 +228,7 @@ def _parse_range(text: str) -> list[int]:
     return list(range(start, stop + 1, step))
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args):
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     try:
         for kind in kinds:
@@ -250,27 +237,17 @@ def cmd_scan(args) -> int:
         raise UsageError(str(exc)) from None
     if not kinds:
         raise UsageError("--kinds must name at least one state kind")
-    n_values = _parse_range(args.n)
-    rows = scan_n(kinds, args.cost, n_values)
+    args.kinds = ",".join(kinds)
+    rows = scan_n(kinds, args.cost, _parse_range(args.n))
     # ScanRow's fields in order, with n_ions named n
     names = ["n" if field.name == "n_ions" else field.name for field in fields(ScanRow)]
     payload = [dict(zip(names, astuple(row))) for row in rows]
     columns = {name: [entry[name] for entry in payload] for name in names}
-    params = {"kinds": ",".join(kinds), "cost": args.cost, "n": args.n}
-    if args.gnuplot:
-        _write_gnuplot(
-            args.gnuplot,
-            f"mean cost scan, cost={args.cost}",
-            "set logscale xy\nplot '{datafile}' using 1:3 with linespoints",
-        )
-    _emit(args, "scan", params, payload, columns)
-    if any(row.error for row in rows):
-        print("error: one or more scan rows failed to converge", file=sys.stderr)
-        return 3
-    return 0
+    failed = any(row.error for row in rows)
+    return payload, columns, "one or more scan rows failed to converge" if failed else None
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     config = SimConfig(args.kind, args.n, args.cost, args.samples, args.seed)
     result = run_simulation(config)
     edges = result.bin_edges.tolist()
@@ -282,18 +259,10 @@ def cmd_simulate(args) -> int:
         "histogram": {"bin_edges": edges, "counts": counts},
     }
     columns = {"bin_left": edges[:-1], "bin_right": edges[1:], "count": counts}
-    params = {
-        "kind": args.kind,
-        "n": args.n,
-        "cost": args.cost,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
-    _emit(args, "simulate", params, payload, columns)
-    return 0
+    return payload, columns, None
 
 
-def cmd_mutinfo(args) -> int:
+def cmd_mutinfo(args):
     _require_cost(args)
     state = state_for(args.kind, args.n, args.cost)
     bits = mutual_information_bits(state)
@@ -303,9 +272,7 @@ def cmd_mutinfo(args) -> int:
         "holevo_bound_bits": float(np.log2(args.n + 1)),
     }
     columns = {name: [value] for name, value in payload.items()}
-    params = {"kind": args.kind, "n": args.n, "cost": args.cost}
-    _emit(args, "mutinfo", params, payload, columns)
-    return 0
+    return payload, columns, None
 
 
 def _integer(text: str) -> int | None:
@@ -331,62 +298,76 @@ def _seed_int(text: str) -> int:
     return value
 
 
-def _add_format(parser, default):
-    parser.add_argument("--format", choices=("csv", "json"), default=default)
+_KIND = ("--kind", {"choices": KINDS, "required": True})
+_N = ("--n", {"type": _positive_int, "required": True})
+_COST = ("--cost", {"choices": CANONICAL_LABELS})
+_REQUIRED_COST = ("--cost", {"choices": CANONICAL_LABELS, "required": True})
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Command(NamedTuple):
+    """A subcommand: ``options`` are (flag, keywords) pairs in ``--help`` and
+    echo order; ``gnuplot`` the script's title and plot line, or None."""
+
+    help: str
+    handler: Callable
+    format: str
+    options: tuple
+    gnuplot: tuple[str, str] | None = None
+
+
+_COMMANDS = {
+    "state": _Command(
+        "amplitudes, energy stats, mean cost", cmd_state, "csv", (_KIND, _N, _COST),
+    ),
+    "posterior": _Command(
+        "posterior density for one outcome", cmd_posterior, "csv",
+        (_KIND, _N, ("--outcome", {"type": int, "default": 0}),
+         ("--grid", {"type": _positive_int}), _COST),
+        ("posterior density, kind={kind}, n={n}", "plot '{datafile}' using 2:3 with lines"),
+    ),
+    "scan": _Command(
+        "analytic table over a range of N", cmd_scan, "csv",
+        (("--kinds", {"required": True, "help": "comma-separated state kinds"}),
+         _REQUIRED_COST,
+         ("--n", {"required": True, "help": "range a:b[:step], inclusive"})),
+        ("mean cost scan, cost={cost}",
+         "set logscale xy\nplot '{datafile}' using 1:3 with linespoints"),
+    ),
+    "simulate": _Command(
+        "seeded Monte Carlo clock run", cmd_simulate, "json",
+        (_KIND, _N, _REQUIRED_COST, ("--samples", {"type": _positive_int, "required": True}),
+         ("--seed", {"type": _seed_int, "default": 0})),
+    ),
+    "mutinfo": _Command(
+        "mutual information summary", cmd_mutinfo, "json",
+        (("--kind", {"choices": tuple(_STATE_KINDS), "required": True,
+                     "help": "state kind; 'basis' is a zero-information diagnostic"}),
+         _N, _COST),
+    ),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with options only for ``command``.
+
+    A ``command`` that names no subcommand gets options on all five, so
+    ``--help`` and the top-level usage errors read the same either way.
+    """
     parser = argparse.ArgumentParser(
         prog="qclock",
         description="Quantum-clock states, covariant measurement statistics, "
         "and scaling tables (angles in radians, energy unit E_m = m).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_state = sub.add_parser("state", help="amplitudes, energy stats, mean cost")
-    p_state.add_argument("--kind", choices=KINDS, required=True)
-    p_state.add_argument("--n", type=_positive_int, required=True)
-    p_state.add_argument("--cost", choices=CANONICAL_LABELS)
-    _add_format(p_state, "csv")
-    p_state.set_defaults(handler=cmd_state)
-
-    p_post = sub.add_parser("posterior", help="posterior density for one outcome")
-    p_post.add_argument("--kind", choices=KINDS, required=True)
-    p_post.add_argument("--n", type=_positive_int, required=True)
-    p_post.add_argument("--outcome", type=int, default=0)
-    p_post.add_argument("--grid", type=_positive_int, default=None)
-    p_post.add_argument("--cost", choices=CANONICAL_LABELS)
-    p_post.add_argument("--gnuplot", metavar="PATH")
-    _add_format(p_post, "csv")
-    p_post.set_defaults(handler=cmd_posterior)
-
-    p_scan = sub.add_parser("scan", help="analytic table over a range of N")
-    p_scan.add_argument("--kinds", required=True, help="comma-separated state kinds")
-    p_scan.add_argument("--cost", choices=CANONICAL_LABELS, required=True)
-    p_scan.add_argument("--n", required=True, help="range a:b[:step], inclusive")
-    p_scan.add_argument("--gnuplot", metavar="PATH")
-    _add_format(p_scan, "csv")
-    p_scan.set_defaults(handler=cmd_scan)
-
-    p_sim = sub.add_parser("simulate", help="seeded Monte Carlo clock run")
-    p_sim.add_argument("--kind", choices=KINDS, required=True)
-    p_sim.add_argument("--n", type=_positive_int, required=True)
-    p_sim.add_argument("--cost", choices=CANONICAL_LABELS, required=True)
-    p_sim.add_argument("--samples", type=_positive_int, required=True)
-    p_sim.add_argument("--seed", type=_seed_int, default=0)
-    _add_format(p_sim, "json")
-    p_sim.set_defaults(handler=cmd_simulate)
-
-    p_info = sub.add_parser("mutinfo", help="mutual information summary")
-    p_info.add_argument(
-        "--kind", choices=tuple(_STATE_KINDS), required=True,
-        help="state kind; 'basis' is a zero-information diagnostic",
-    )
-    p_info.add_argument("--n", type=_positive_int, required=True)
-    p_info.add_argument("--cost", choices=CANONICAL_LABELS)
-    _add_format(p_info, "json")
-    p_info.set_defaults(handler=cmd_mutinfo)
-
+    for name, entry in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=entry.help)
+        if command in _COMMANDS and command != name:
+            continue
+        for flag, keywords in entry.options:
+            subparser.add_argument(flag, **keywords)
+        if entry.gnuplot:
+            subparser.add_argument("--gnuplot", metavar="PATH")
+        subparser.add_argument("--format", choices=("csv", "json"), default=entry.format)
     return parser
 
 
@@ -398,19 +379,31 @@ def main(argv=None) -> int:
     # after it and still flush.
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    entry = _COMMANDS[args.command]
     try:
-        return args.handler(args)
+        # a handler fills in the defaults that the echo shows
+        payload, columns, failure = entry.handler(args)
+        if entry.gnuplot and args.gnuplot:
+            _write_gnuplot(args.gnuplot, *entry.gnuplot, args)
+        params = {flag[2:]: getattr(args, flag[2:]) for flag, _ in entry.options}
+        _emit(args.format, args.command, params, payload, columns)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverConvergenceError, SignConventionError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
+    if failure:
+        print(f"error: {failure}", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -298,3 +298,54 @@ def is_five_smooth(n: int) -> bool:
         while n % p == 0:
             n //= p
     return n == 1
+
+
+def wrapped_error_bin_probabilities(amplitudes, edges) -> np.ndarray:
+    """Exact probability of each wrapped-error bin [e_i, e_{i+1}) in [-pi, pi].
+
+    The covariant measurement's error T has density (1/2pi)(1 + 2 sum_k
+    rho_k cos kT), rho_k = r_k / r_0 with r_k = sum_m a_m a_{m+k} summed
+    directly, so the bin [a, b) holds (1/2pi)[(b - a) + 2 sum_{k=1}^{N}
+    rho_k (sin kb - sin ka) / k].
+    """
+    a = np.asarray(amplitudes, dtype=float)
+    r = np.correlate(a, a, "full")[a.size - 1 :]
+    k = np.arange(1, a.size)
+    edges = np.asarray(edges, dtype=float)
+    antiderivative = edges + 2.0 * np.sin(np.outer(edges, k)) @ (r[1:] / (r[0] * k))
+    return np.diff(antiderivative) / (2.0 * np.pi)
+
+
+def wrapped_error_bin_probabilities_mp(amplitudes, edges, dps: int = 30) -> np.ndarray:
+    """``wrapped_error_bin_probabilities`` in mpmath at ``dps`` decimal digits."""
+    with mpmath.workdps(dps):
+        a = [mpmath.mpf(float(x)) for x in amplitudes]
+        rho = [mpmath.fdot(a[: len(a) - k], a[k:]) / mpmath.fdot(a, a) for k in range(len(a))]
+
+        def antiderivative(e):
+            e = mpmath.mpf(float(e))
+            return e + 2 * mpmath.fsum(rho[k] * mpmath.sin(k * e) / k for k in range(1, len(a)))
+
+        values = [antiderivative(e) for e in edges]
+        return np.array([float((hi - lo) / (2 * mpmath.pi)) for lo, hi in zip(values, values[1:])])
+
+
+def cost_second_moment_mp(w0: float, coefficients, amplitudes, dps: int = 30) -> float:
+    """E[f(T)^2] under the covariant measurement, by mpmath quadrature.
+
+    f(T) = w0 - sum_k w_k cos kT and T has density |sum_m a_m e^{imT}|^2 /
+    (2pi |a|^2) on [-pi, pi]; the integrand is a trigonometric polynomial,
+    integrated by ``mpmath.quad`` on the two halves of the period.
+    """
+    with mpmath.workdps(dps):
+        a = [mpmath.mpf(float(x)) for x in amplitudes]
+        w = [mpmath.mpf(float(x)) for x in coefficients]
+        norm_sq = mpmath.fdot(a, a)
+
+        def integrand(t):
+            f = w0 - mpmath.fsum(wk * mpmath.cos((k + 1) * t) for k, wk in enumerate(w))
+            amplitude = mpmath.fsum(am * mpmath.expj(m * t) for m, am in enumerate(a))
+            return f * f * abs(amplitude) ** 2
+
+        total = mpmath.quad(integrand, [-mpmath.pi, 0, mpmath.pi])
+        return float(total / (2 * mpmath.pi * norm_sq))

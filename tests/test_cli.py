@@ -1,8 +1,11 @@
+import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qclock import cli
+from qclock.cost import CANONICAL_LABELS
 import qclock.sim as sim_module
 from qclock.sim import ScanRow
 from qclock.solver import SignConventionError
@@ -501,6 +505,99 @@ def test_cli_loads_no_scipy_module(statement):
 
 def test_missing_subcommand_exits_2(capsys):
     assert cli.main([]) == 2
+
+
+COMMANDS = ["state", "posterior", "scan", "simulate", "mutinfo"]
+# --help of the program and of each subcommand, and one missing required
+# option per subcommand.
+HELP_AND_USAGE_CASES = [
+    [], ["--help"], ["bogus"],
+    *([command, "--help"] for command in COMMANDS),
+    ["state", "--kind", "phase"],
+    ["posterior", "--n", "3"],
+    ["scan", "--kinds", "phase", "--n", "1:2"],
+    ["simulate", "--kind", "phase", "--n", "3", "--cost", "sin2"],
+    ["mutinfo", "--n", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE_CASES, ids=" ".join)
+def test_help_and_usage_errors_match_a_parser_with_every_option(capsys, monkeypatch, argv):
+    # main builds options only for the subcommand that argv[0] names; what
+    # it prints must equal what the parser with every option prints. Two
+    # parsers are compared, not pinned texts, because argparse's wording
+    # changes between Python versions.
+    monkeypatch.setenv("COLUMNS", "80")
+    main_result = run_cli(capsys, argv)
+    with pytest.raises(SystemExit) as exit_info:
+        cli._build_parser(None).parse_args(argv)
+    captured = capsys.readouterr()
+    assert main_result == (exit_info.value.code or 0, captured.out, captured.err)
+    assert main_result[0] == (0 if "--help" in argv else 2)
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", [*COMMANDS, None, "--help", "bogus"])
+def test_parser_builds_options_only_for_the_invoked_subcommand(command):
+    subparsers = _subparsers(cli._build_parser(command))
+    assert list(subparsers) == COMMANDS
+    built = {name for name, sub in subparsers.items() if len(sub._actions) > 1}  # -h
+    assert built == ({command} if command in COMMANDS else set(COMMANDS))
+
+
+def _count(low, high):
+    return st.integers(low, high).map(str)
+
+
+# Values of each flag of the table, small enough to run, plus tokens that
+# no flag accepts; every argv must end in a documented exit code.
+ODD_TOKENS = st.sampled_from(["x", "", "-5", "--bogus", "1.5", " "])
+FLAG_VALUES = {
+    "--kind": st.sampled_from([*sim_module.KINDS, "basis", "spiral"]),
+    "--kinds": st.sampled_from(["phase", "optimal,product", "max_spread,basis", " , ",
+                                "phase,spiral"]),
+    "--n": _count(-2, 40),
+    "--cost": st.sampled_from([*CANONICAL_LABELS, "quartic"]),
+    "--outcome": _count(-2, 41),
+    "--grid": _count(-1, 2000),
+    "--samples": _count(-1, 500),
+    "--seed": st.one_of(_count(-1, 2**64), st.just(str(2**64 - 1))),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+}
+SCAN_RANGES = st.builds("{}:{}:{}".format, st.integers(-2, 40), st.integers(-2, 40),
+                        st.integers(-1, 20)).map(lambda text: text.removesuffix(":1"))
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A subcommand and its flags: each left out, given an odd token or a value."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    argv = [command]
+    for flag in [flag for flag, _ in cli._COMMANDS[command].options] + ["--format"]:
+        choice = draw(st.sampled_from(["omit", "odd"] + ["value"] * 10))
+        if choice != "omit":
+            values = SCAN_RANGES if (command, flag) == ("scan", "--n") else FLAG_VALUES[flag]
+            argv += [flag, draw(ODD_TOKENS if choice == "odd" else values)]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append("--bogus")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzzed_argv())
+def test_every_argv_ends_in_a_documented_exit_code(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert stdout.getvalue() == ""
+    if code:
+        assert stderr.getvalue().splitlines()[-1].startswith(("error: ", "qclock"))
 
 
 def _kind_argv(command, kind, cost):

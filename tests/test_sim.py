@@ -1,4 +1,5 @@
 import logging
+import math
 import sys
 import time
 import tracemalloc
@@ -6,10 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from scipy.stats import chi2
 from hypothesis import strategies as st
 
 from qclock import (
     KINDS,
+    CostMatrix,
     SimConfig,
     canonical_cost,
     cost_matrix,
@@ -28,7 +31,13 @@ from qclock.sim import DEFAULT_HISTOGRAM_BINS
 from qclock.solver import SolverConvergenceError
 import qclock.sim as sim_module
 
-from oracles import cost_at_outcome_mp
+from oracles import (
+    cost_at_outcome_mp,
+    cost_second_moment_mp,
+    random_clock_amplitudes,
+    wrapped_error_bin_probabilities,
+    wrapped_error_bin_probabilities_mp,
+)
 
 
 def test_config_validation():
@@ -162,6 +171,104 @@ def test_run_simulation_golden_outputs(config, scalars, counts):
     else:
         expected = np.array(counts)
     assert result.histogram.tolist() == expected.tolist()
+
+
+def _squared_cost_column(f, n_ions):
+    """First column of the Toeplitz matrix of f^2, for ``CostMatrix``.
+
+    f's two-sided cosine coefficients are w0 at lag 0 and -w_k/2 at lags
+    +-k; f^2's are their self-convolution, cut at lag N because the outcome
+    kernel carries no higher frequency. For sin2 the column is (6, -4, 1).
+    """
+    phi = np.concatenate([-0.5 * f.coefficients[::-1], [f.w0], -0.5 * f.coefficients])
+    lags = np.convolve(phi, phi)[2 * f.order :][: n_ions + 1]
+    return np.concatenate([lags, np.zeros(n_ions + 1 - lags.size)])
+
+
+def _exact_cost_moments(state, f):
+    """E[f] and E[f^2] of a state's cost under the covariant measurement."""
+    a = state.amplitudes
+    second = CostMatrix(_squared_cost_column(f, state.n_ions)).quadratic_form(a) / (a @ a)
+    return mean_cost_bound(state, f), second
+
+
+@pytest.mark.parametrize("label", CANONICAL_LABELS)
+@pytest.mark.parametrize("kind, n_ions", [("product", 5), ("optimal", 3), ("max_spread", 6),
+                                          ("phase", 8)])
+def test_exact_cost_second_moment_matches_mpmath_quadrature(label, kind, n_ions):
+    state, f = state_for(kind, n_ions, label), canonical_cost(label, n_ions)
+    _, second = _exact_cost_moments(state, f)
+    reference = cost_second_moment_mp(f.w0, f.coefficients, state.amplitudes)
+    assert second == pytest.approx(reference, rel=1e-14)
+
+
+def test_sin2_squared_cost_column():
+    column = _squared_cost_column(canonical_cost("sin2", 6), 6)
+    assert column.tolist() == [6.0, -4.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("config", [config for config, _, _ in GOLDEN_RUNS])
+def test_golden_means_lie_in_the_bernstein_band(config):
+    # Bernstein's inequality for costs within 2 sum_k w_k of their mean
+    # (Boucheron, Lugosi & Massart 2013, thm 2.10): a correct run leaves
+    # the band with probability at most alpha, whatever the cost's tails.
+    # For sin2 the band is loose (range 4, mean ~1e-4); it holds by theorem.
+    kind, n_ions, label, samples, _ = config
+    f = canonical_cost(label, n_ions)
+    mean, second = _exact_cost_moments(state_for(kind, n_ions, label), f)
+    log_term = math.log(2.0 / 1e-6)
+    linear = 2.0 * f.coefficients.sum() * log_term / 3.0
+    variance = second - mean**2
+    band = (linear + math.sqrt(linear**2 + 2.0 * samples * variance * log_term)) / samples
+    result = run_simulation(SimConfig(*config))
+    assert abs(result.empirical_mean_cost - mean) <= band
+
+
+def _pooled(observed, expected, minimum=5.0):
+    """Sums of adjacent bins, pooled left to right until each expects ``minimum``."""
+    groups, observed_sum, expected_sum = [], 0, 0.0
+    for count, probability in zip(observed, expected):
+        observed_sum, expected_sum = observed_sum + count, expected_sum + probability
+        if expected_sum >= minimum:
+            groups.append([observed_sum, expected_sum])
+            observed_sum, expected_sum = 0, 0.0
+    groups[-1][0] += observed_sum
+    groups[-1][1] += expected_sum
+    return np.array(groups).T
+
+
+@pytest.mark.parametrize("config", [config for config, _, _ in GOLDEN_RUNS])
+def test_golden_histograms_pass_a_g_test_against_the_exact_law(config):
+    # Bins pooled to >= 5 expected counts; the pins read p = 0.37, 0.48,
+    # 0.87, 0.74 and 0.23 on 2, 8, 100, 86 and 44 degrees of freedom.
+    kind, n_ions, label, samples, _ = config
+    result = run_simulation(SimConfig(*config))
+    law = wrapped_error_bin_probabilities(
+        state_for(kind, n_ions, label).amplitudes, result.bin_edges
+    )
+    observed, expected = _pooled(result.histogram, samples * law)
+    nonzero = observed > 0
+    g = 2.0 * np.sum(observed[nonzero] * np.log(observed[nonzero] / expected[nonzero]))
+    assert chi2.sf(g, observed.size - 1) >= 1e-6
+
+
+@pytest.mark.parametrize("kind, n_ions", [("optimal", 300), ("max_spread", 33), ("phase", 1),
+                                          ("product", 200)])
+def test_wrapped_error_bin_law_sums_to_one(kind, n_ions):
+    edges = np.linspace(-np.pi, np.pi, DEFAULT_HISTOGRAM_BINS + 1)
+    law = wrapped_error_bin_probabilities(state_for(kind, n_ions, "sin2").amplitudes, edges)
+    assert abs(law.sum() - 1.0) <= 1e-14
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(2, 40))
+def test_wrapped_error_bin_law_matches_mpmath(n_ions, seed, bins):
+    rng = np.random.default_rng(seed)
+    amplitudes = random_clock_amplitudes(rng, n_ions + 1)
+    edges = np.concatenate([[-np.pi], np.sort(rng.uniform(-np.pi, np.pi, bins - 1)), [np.pi]])
+    law = wrapped_error_bin_probabilities(amplitudes, edges)
+    assert abs(law.sum() - 1.0) <= 1e-14
+    assert np.max(np.abs(law - wrapped_error_bin_probabilities_mp(amplitudes, edges))) <= 1e-14
 
 
 def _work(samples):

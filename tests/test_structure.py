@@ -5,7 +5,9 @@ and only ``measurement.py`` uses it: every kernel, posterior and cost
 table (``_kernel_on_grid``, ``_cost_on_grid``) goes through it there.
 ``states._freeze`` is the only place that makes a value object's array
 read-only. The package re-exports its modules' ``__all__`` by ``*``
-imports, so each public name is listed once, in its module.
+imports, so each public name is listed once, in its module. The CLI's
+options are added only by ``cli._build_parser``, from its one table, and
+only ``cli.main`` prints a result through ``cli._emit``.
 """
 
 import ast
@@ -89,3 +91,25 @@ def test_package_imports_its_modules_names_only_by_star():
         if alias.name != "*"
     ]
     assert explicit == []
+
+
+def _called_name(node):
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Attribute):
+            return node.func.attr
+        if isinstance(node.func, ast.Name):
+            return node.func.id
+    return None
+
+
+def test_cli_options_are_built_in_one_place_and_printed_by_main():
+    tree = ast.parse((Path(qclock.__file__).parent / "cli.py").read_text())
+    parser_sites, emit_sites = set(), set()
+    for node, function in _enclosing_functions(tree):
+        name = _called_name(node)
+        if name in ("add_argument", "add_parser"):
+            parser_sites.add(function)
+        if name == "_emit":
+            emit_sites.add(function)
+    assert parser_sites == {"_build_parser"}
+    assert emit_sites == {"main"}
