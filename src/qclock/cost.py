@@ -55,9 +55,11 @@ class CostFunction:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", np.ravel(self.coefficients))
         coeffs = _freeze(self, "coefficients")
+        object.__setattr__(self, "w0", float(self.w0))
+        if not (math.isfinite(self.w0) and np.all(np.isfinite(coeffs))):
+            raise ValueError("w0 and the cosine coefficients must be finite")
         if coeffs.size and np.any(coeffs < 0.0):
             raise ValueError("cosine coefficients w_k (k >= 1) must be nonnegative")
-        object.__setattr__(self, "w0", float(self.w0))
 
     @property
     def order(self) -> int:
@@ -81,6 +83,8 @@ class CostMatrix:
         column = _freeze(self, "column")
         if column.ndim != 1 or column.size == 0:
             raise ValueError(f"column must be a nonempty vector, got shape {column.shape}")
+        if not np.all(np.isfinite(column)):
+            raise ValueError("column entries must be finite")
 
     @property
     def dim(self) -> int:
@@ -101,14 +105,9 @@ class CostMatrix:
 
     @cached_property
     def _circulant_spectrum(self) -> np.ndarray:
-        # F is the leading block of a symmetric circulant of 5-smooth size
-        # 2M >= 2 dim, M = _smooth_size(dim), whose eigenvalues are the (real)
-        # DFT of its column.
-        size = 2 * _smooth_size(self.dim)
-        embedded = np.zeros(size)
-        embedded[: self.dim] = self.column
-        embedded[size - self.dim + 1 :] = self.column[:0:-1]
-        return np.fft.rfft(embedded).real
+        # F is the leading block of the symmetric circulant of 5-smooth size
+        # 2M >= 2 dim, M = _smooth_size(dim): no lag wraps onto another.
+        return _circulant_eigenvalues(self.column, 2 * _smooth_size(self.dim))
 
     def _vector(self, x: np.ndarray) -> np.ndarray:
         """x as a float vector of dimension ``dim``, else ValueError."""
@@ -171,6 +170,18 @@ def _smooth_size(n: int) -> int:
             factor *= 3
         odd *= 5
     return best
+
+
+def _circulant_eigenvalues(column: np.ndarray, size: int) -> np.ndarray:
+    """Eigenvalues of the symmetric circulant of ``size`` >= len(column).
+
+    Its column is c_k = t_j, j = min(k, size - k), for the Toeplitz column t
+    zero beyond lag N, and its eigenvalues are the (real) DFT of c, k = 0 ..
+    size // 2. At size >= 2 dim - 1 it embeds the Toeplitz matrix; below
+    that it is the Strang circulant, which wraps the central band around.
+    """
+    k = np.arange(size)
+    return np.fft.rfft(np.pad(column, (0, size - column.size))[np.minimum(k, size - k)]).real
 
 
 def _sum_of_squares(x: np.ndarray) -> float:

@@ -9,11 +9,10 @@ of a kind name.
 
 The simulator draws true times uniformly, samples outcomes from the exact
 Born-rule distribution by inverse CDF, and aggregates empirical cost and
-error statistics. Randomness comes from the counter-based Philox generator
-keyed by the configured seed: sample i consumes row i of a (samples, 2)
-uniform block laid out in fixed counter order, and a block of samples
-skips to its first row by advancing the counter, so results are bitwise
-reproducible.
+error statistics. Randomness comes from one counter-based Philox stream
+keyed by the configured seed and read in order: sample i consumes row i of
+the (samples, 2) uniform block that one ``random((samples, 2))`` call would
+draw, so results are bitwise reproducible.
 
 Covariance, P(t_j | t) = K(t - t_j), means only the lattice error matters:
 for a true time t = s h + delta, h = 2*pi/(N+1) and delta in [0, h), the
@@ -36,29 +35,23 @@ interpolation weights instead of a K-term cosine series per sample. That
 table is ``measurement._cost_on_grid``, the cancellation-free cost
 evaluator that ``mean_cost_direct`` also reads.
 
-Samples run in blocks of 2**16 // 22 on a thread pool of
-min(os.cpu_count(), blocks) workers; each worker takes every workers-th
-block and reuses one kernel buffer of two (block, 22) planes for all of
-them. A block does the whole per-sample pipeline: it draws its own rows of
-the Philox block, samples lattice errors and costs, wraps the errors and
-bins them into its worker's histogram, whose counts are added. Only the
-costs and wrapped errors, which the mean, RMS and standard error reduce
-over, are kept for every sample: 16 bytes each, and one 8-byte temporary
-per sample while a reduction runs. So memory is 24 * samples + 440 (N+1)
-bytes of tables + O(workers * block) at its peak, and no per-sample array
-grows with N. Each block writes only its own slices, so the results do not
-depend on the block size or the worker count. One DEBUG record on the
-``qclock`` logger gives the sample, block and worker counts, the samples
-whose guide start was bisected, and the seconds spent building the tables
-and sampling.
+Samples run in blocks of 2**16 // 22, one after another, in one kernel
+buffer of two (block, 22) planes. A block draws the next rows of the Philox
+stream and samples its lattice errors and costs. Only the costs and wrapped
+errors, which the mean, RMS, standard error and histogram reduce over, are
+kept for every sample: 16 bytes each, and one 8-byte temporary per sample
+while a reduction runs. So memory is 24 * samples + 440 (N+1) bytes of
+tables + O(block) at its peak, and no per-sample array grows with N. Each
+block writes only its own slices, so the results do not depend on the
+block size. One DEBUG record on the ``qclock`` logger gives the sample and
+block counts, the samples whose guide start was bisected, and the seconds
+spent building the tables and sampling.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -79,7 +72,7 @@ from .states import (
 
 DEFAULT_HISTOGRAM_BINS = 101
 PHASE_MATCH_TOL = 1e-9
-# Interpolation weights per sampler block; bounds each worker's memory.
+# Interpolation weights per sampler block; bounds the kernel buffer.
 _BLOCK_ENTRIES = 2**16
 # Chebyshev nodes per outcome spacing h = 2*pi/(N+1). Each CDF piece Q_k is a
 # trigonometric polynomial of degree <= N in delta in [0, h]; mapped to
@@ -313,19 +306,6 @@ def _outcome_sampler(
     return sample
 
 
-def _philox_rows(seed: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of the (samples, 2) uniform block that Philox keyed by seed draws.
-
-    Philox yields four 64-bit words per counter step and a row takes two, so
-    row lo starts lo // 2 steps in, two words further on when lo is odd.
-    """
-    bit_generator = np.random.Philox(key=seed)
-    bit_generator.advance(lo // 2)
-    if lo % 2:
-        bit_generator.random_raw(2)
-    return np.random.Generator(bit_generator).random((hi - lo, 2))
-
-
 def run_simulation(config: SimConfig) -> SimResult:
     """Simulate clock runs and aggregate the empirical statistics.
 
@@ -333,12 +313,11 @@ def run_simulation(config: SimConfig) -> SimResult:
     from the first uniform of its row, as delta/h = frac((N+1) d) (t = 2*pi d
     would put it there), draw the lattice error m by inverse CDF from the
     second, then record the cost f(m h - delta), read from the sampler's
-    cost table, and the wrapped error m h - delta. Each block of samples
-    runs that whole pipeline on a worker, in the worker's one kernel buffer:
-    it draws its own rows of the Philox block, samples, wraps and bins its
-    errors. Only the costs and wrapped errors, 16 B per sample, outlive a
-    block. The 101 histogram bins are odd so one bin straddles zero error;
-    the histogram mass always equals the sample count.
+    cost table, and the wrapped error m h - delta. Blocks of samples run
+    that pipeline in turn, in one kernel buffer, each drawing the next rows
+    of the one Philox stream. Only the costs and wrapped errors, 16 B per
+    sample, outlive a block. The 101 histogram bins are odd so one bin
+    straddles zero error; the histogram mass always equals the sample count.
     """
     state = state_for(config.state_kind, config.n_ions, config.cost_label)
     cost_fn = canonical_cost(config.cost_label, config.n_ions)
@@ -348,38 +327,27 @@ def run_simulation(config: SimConfig) -> SimResult:
     spacing = TWO_PI / (config.n_ions + 1)
     costs = np.empty(config.samples)
     errors = np.empty(config.samples)
-    edges = np.linspace(-np.pi, np.pi, DEFAULT_HISTOGRAM_BINS + 1)
     rows = max(1, _BLOCK_ENTRIES // _NODE_COUNT)
     starts = range(0, config.samples, rows)
-    workers = min(os.cpu_count() or 1, len(starts))
-
-    def run_share(worker: int) -> tuple[np.ndarray, int]:
-        # One kernel buffer per worker, reused by every block of its share.
-        work = np.empty((2, rows, _NODE_COUNT))
-        counts, fallbacks = np.zeros(DEFAULT_HISTOGRAM_BINS, dtype=np.int64), 0
-        for lo in starts[worker::workers]:
-            hi = min(lo + rows, config.samples)
-            draws = _philox_rows(config.seed, lo, hi)
-            # t = 2*pi d = s h + delta with delta = fraction * h; s drops out
-            scaled = draws[:, 0] * (config.n_ions + 1)
-            fractions = scaled - np.floor(scaled)
-            m, costs[lo:hi], missed = sample(fractions, draws[:, 1], work)
-            errors[lo:hi] = wrap_angle(spacing * (m - fractions))
-            counts += np.histogram(errors[lo:hi], bins=edges)[0]
-            fallbacks += missed
-        return counts, fallbacks
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        counts, fallbacks = map(sum, zip(*pool.map(run_share, range(workers))))
+    work = np.empty((2, rows, _NODE_COUNT))
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    fallbacks = 0
+    for lo in starts:
+        hi = min(lo + rows, config.samples)
+        draws = rng.random((hi - lo, 2))
+        # t = 2*pi d = s h + delta with delta = fraction * h; s drops out
+        scaled = draws[:, 0] * (config.n_ions + 1)
+        fractions = scaled - np.floor(scaled)
+        m, costs[lo:hi], missed = sample(fractions, draws[:, 1], work)
+        errors[lo:hi] = wrap_angle(spacing * (m - fractions))
+        fallbacks += missed
     _LOG.debug(
         "sampler: samples=%(samples)d block_rows=%(block_rows)d blocks=%(blocks)d"
-        " workers=%(workers)d fallbacks=%(fallbacks)d table_s=%(table_s).6f"
-        " sampling_s=%(sampling_s).6f",
+        " fallbacks=%(fallbacks)d table_s=%(table_s).6f sampling_s=%(sampling_s).6f",
         {
             "samples": config.samples,
             "block_rows": rows,
             "blocks": len(starts),
-            "workers": workers,
             "fallbacks": fallbacks,
             "table_s": built - started,
             "sampling_s": time.perf_counter() - built,
@@ -393,6 +361,8 @@ def run_simulation(config: SimConfig) -> SimResult:
     else:
         standard_error = 0.0
 
+    edges = np.linspace(-np.pi, np.pi, DEFAULT_HISTOGRAM_BINS + 1)
+    counts = np.histogram(errors, bins=edges)[0]
     if int(counts.sum()) != config.samples:
         raise RuntimeError("histogram lost samples; wrapped errors out of range")
     return SimResult(mean_cost, delta_t, standard_error, counts, edges)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostFunction, CostMatrix, _smooth_size, cost_matrix
+from .cost import CostFunction, CostMatrix, _circulant_eigenvalues, _smooth_size, cost_matrix
 from .states import ClockState, _freeze
 
 RESIDUAL_RTOL = 1e-10
@@ -124,18 +124,18 @@ def _strang_preconditioner(column: np.ndarray):
     the central band of F's column around: c_k = t_j for j = min(k, M - k)
     if j <= N, else 0. P zero-pads a vector of F's dimension to M, and P^T
     keeps its first dim entries. C's eigenvalues are the real DFT of its
-    column; sigma lies below the smallest by 1/M of their spread (of 1 if
-    C = c_0 I, as when only lags beyond M/2 are nonzero), so C - sigma I,
-    and with it the preconditioner, is positive definite and amplifies the
-    low modes of the circulant, where F's lowest eigenvectors live. M is
-    never dim itself: where dim is 5-smooth, the classical Strang circulant
-    of size dim took 1-4 more steps than this padded one (abs and
-    abs_sin_half at dim = 512 ... 10000).
+    column, from ``cost._circulant_eigenvalues`` as for F's own embedding;
+    sigma lies below the smallest by 1/M of their spread (of 1 if C = c_0 I,
+    as when only lags beyond M/2 are nonzero), so C - sigma I, and with it
+    the preconditioner, is positive definite and amplifies the low modes of
+    the circulant, where F's lowest eigenvectors live. M is never dim
+    itself: where dim is 5-smooth, the classical Strang circulant of size
+    dim took 1-4 more steps than this padded one (abs and abs_sin_half at
+    dim = 512 ... 10000).
     """
     dim = column.size
     size = _smooth_size(dim + 1)
-    k = np.arange(size)
-    spectrum = np.fft.rfft(np.pad(column, (0, size - dim))[np.minimum(k, size - k)]).real
+    spectrum = _circulant_eigenvalues(column, size)
     low, high = float(spectrum.min()), float(spectrum.max())
     shifted = spectrum - (low - ((high - low) or 1.0) / size)
     return size, lambda r: np.fft.irfft(np.fft.rfft(r, size) / shifted, size)[:dim]

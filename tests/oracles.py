@@ -330,6 +330,45 @@ def wrapped_error_bin_probabilities_mp(amplitudes, edges, dps: int = 30) -> np.n
         return np.array([float((hi - lo) / (2 * mpmath.pi)) for lo, hi in zip(values, values[1:])])
 
 
+def wrapped_error_moments(amplitudes) -> tuple[float, float]:
+    """E[T^2] and E[T^4] of the covariant measurement's wrapped error T.
+
+    T in [-pi, pi] has density (1/2pi)(1 + 2 sum_k rho_k cos kT), rho_k =
+    r_k / r_0 with r_k = sum_m a_m a_{m+k} summed directly, so E[cos kT] =
+    rho_k. On [-pi, pi], T^2 = pi^2/3 + sum_k (-1)^k (4/k^2) cos kT and
+    T^4 = pi^4/5 + sum_k (-1)^k (8 pi^2/k^2 - 48/k^4) cos kT, so
+
+        E[T^2] = pi^2/3 + sum_{k=1}^{N} (-1)^k (4/k^2) rho_k,
+        E[T^4] = pi^4/5 + sum_{k=1}^{N} (-1)^k (8 pi^2/k^2 - 48/k^4) rho_k.
+    """
+    a = np.asarray(amplitudes, dtype=float)
+    r = np.correlate(a, a, "full")[a.size - 1 :]
+    k = np.arange(1, a.size, dtype=float)
+    signed_rho = np.where(np.arange(1, a.size) % 2, -1.0, 1.0) * r[1:] / r[0]
+    second = np.pi**2 / 3.0 + math.fsum(4.0 / k**2 * signed_rho)
+    fourth = np.pi**4 / 5.0 + math.fsum((8.0 * np.pi**2 / k**2 - 48.0 / k**4) * signed_rho)
+    return second, fourth
+
+
+def wrapped_error_moment_mp(amplitudes, power: int, dps: int = 30) -> float:
+    """E[T^power] of the wrapped error, by mpmath quadrature of its density.
+
+    T has density |sum_m a_m e^{imT}|^2 / (2pi |a|^2) on [-pi, pi]; the
+    integrand T^power times that trigonometric polynomial is integrated by
+    ``mpmath.quad`` on the two halves of the period.
+    """
+    with mpmath.workdps(dps):
+        a = [mpmath.mpf(float(x)) for x in amplitudes]
+        norm_sq = mpmath.fdot(a, a)
+
+        def integrand(t):
+            amplitude = mpmath.fsum(am * mpmath.expj(m * t) for m, am in enumerate(a))
+            return t**power * abs(amplitude) ** 2
+
+        total = mpmath.quad(integrand, [-mpmath.pi, 0, mpmath.pi])
+        return float(total / (2 * mpmath.pi * norm_sq))
+
+
 def cost_second_moment_mp(w0: float, coefficients, amplitudes, dps: int = 30) -> float:
     """E[f(T)^2] under the covariant measurement, by mpmath quadrature.
 

@@ -83,6 +83,23 @@ def test_invalid_cost_construction():
     CostFunction(-1.0, np.array([0.5]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: CostFunction(bad, np.array([1.0, 0.5])),
+        lambda bad: CostFunction(1.0, np.array([1.0, bad])),
+        lambda bad: CostMatrix(np.array([1.0, bad, 0.5])),
+    ],
+    ids=["w0", "coefficient", "column"],
+)
+def test_non_finite_cost_data_is_rejected(build, bad):
+    # A NaN cost made mean_cost_bound return nan, and a NaN column ran all
+    # of LOBPCG's steps before the solver failed.
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
+
+
 def test_evaluate_cost_sin2_values():
     assert abs(evaluate_cost(SIN2, np.pi) - 4.0) <= 1e-15
     assert abs(evaluate_cost(SIN2, 0.0)) <= 1e-15
@@ -203,6 +220,21 @@ def test_wide_matvec_matches_dense_product_off_smooth_sizes(dim):
             matrix.matvec(x), matrix.entries @ x, rtol=0, atol=1e-13 * scale
         )
     assert vars(matrix)["_circulant_spectrum"].size == _smooth_size(dim) + 1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 64, 101, 1000, 1009])
+def test_circulant_eigenvalues_of_the_embedding_are_its_explicit_dft(dim):
+    # The wrapped column min(k, size - k) at size 2M is the explicit
+    # embedding (column, zeros, reversed column): the same array, the same bits.
+    rng = np.random.default_rng(dim)
+    column = rng.standard_normal(dim)
+    size = 2 * _smooth_size(dim)
+    embedded = np.zeros(size)
+    embedded[:dim] = column
+    embedded[size - dim + 1 :] = column[:0:-1]
+    expected = np.fft.rfft(embedded).real
+    assert cost_module._circulant_eigenvalues(column, size).tobytes() == expected.tobytes()
+    assert CostMatrix(column)._circulant_spectrum.tobytes() == expected.tobytes()
 
 
 def test_tridiagonal_eigenpair_builds_no_circulant_spectrum():

@@ -7,7 +7,11 @@ table (``_kernel_on_grid``, ``_cost_on_grid``) goes through it there.
 read-only. The package re-exports its modules' ``__all__`` by ``*``
 imports, so each public name is listed once, in its module. The CLI's
 options are added only by ``cli._build_parser``, from its one table, and
-only ``cli.main`` prints a result through ``cli._emit``.
+only ``cli.main`` prints a result through ``cli._emit``. Only
+``cost._circulant_eigenvalues`` takes the real DFT of a symmetric
+circulant's column, for the matvec's embedding and the solver's
+preconditioner alike. The library runs on the caller's thread: no module
+imports a thread or process pool.
 """
 
 import ast
@@ -113,3 +117,42 @@ def test_cli_options_are_built_in_one_place_and_printed_by_main():
             emit_sites.add(function)
     assert parser_sites == {"_build_parser"}
     assert emit_sites == {"main"}
+
+
+def _is_real_of_rfft(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "real"
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Attribute)
+        and node.value.func.attr == "rfft"
+    )
+
+
+def test_one_circulant_eigenvalue_builder():
+    sites = [
+        (path.name, function)
+        for path in SOURCES
+        for node, function in _enclosing_functions(ast.parse(path.read_text()))
+        if _is_real_of_rfft(node)
+    ]
+    assert sites == [("cost.py", "_circulant_eigenvalues")]
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_module_imports_threads_or_processes():
+    banned = {"threading", "concurrent", "multiprocessing"}
+    imports = {
+        (path.name, module)
+        for path in SOURCES
+        for module in _imported_modules(ast.parse(path.read_text()))
+        if module.split(".")[0] in banned
+    }
+    assert imports == set()
