@@ -12,8 +12,8 @@ no dense matrix is formed and no library eigensolver is called:
   Comput. 23, 517 (2001)) that applies ``CostMatrix.matvec`` once per
   step, to the new search direction: F x and F times the previous step
   are carried along as combinations of images (Hetmaniuk & Lehoucq,
-  J. Comput. Phys. 218, 324 (2006)), and F x is recomputed every few
-  steps and on every step near convergence. It is preconditioned by the
+  J. Comput. Phys. 218, 324 (2006)), and F x is recomputed once, where
+  the residual first meets the contract. It is preconditioned by the
   inverse of a shifted Strang circulant (Chan & Ng, SIAM Rev. 38, 427
   (1996)), which one FFT pair applies. Both transforms have 5-smooth
   lengths: the matvec's circulant has size 2M, M the smallest
@@ -54,12 +54,6 @@ _STALL_STEPS = 3
 # A search direction is dropped when less than this fraction of it is
 # orthogonal to the directions before it.
 _DROP_TOL = 1e-13
-# LOBPCG carries F x as a combination of images and recomputes it by a true
-# matvec every this many steps. Each step near convergence recomputes it as
-# well, so the period moves the count little: with 2 a solve of a built-in
-# cost makes at most S + ceil(S/2) + 8 matvecs in S steps, a bound that 3
-# breaks (abs at N = 3000: 36 matvecs against S + ceil(S/3) + 8 = 35).
-_REFRESH_STEPS = 2
 _LOG = logging.getLogger("qclock")
 
 __all__ = [
@@ -217,33 +211,29 @@ def _lobpcg(matvec, precondition, parity: float, start: np.ndarray, tolerance: f
     combinations of images as x and the step (Hetmaniuk & Lehoucq,
     J. Comput. Phys. 218, 324 (2006)). w's image is not: near convergence
     w lies almost in the span of the others, and its image formed by the
-    same cancellation would lose the digits a true matvec keeps. F x is
-    recomputed by a true matvec every ``_REFRESH_STEPS`` steps, and on
-    every step once the residual is within ``tolerance``, so the stall
-    test, the best vector and its residual rest on true images. Returns
-    the x with the smallest residual, the number of steps taken and that
-    residual: once the residual is at most ``tolerance`` and has
-    stagnated, or with ``_MAX_ITERATIONS`` steps when that does not happen.
+    same cancellation would lose the digits a true matvec keeps. F x is a
+    true matvec at the start and again the first time the carried residual
+    is within ``tolerance``; the steps after that, which only polish x to
+    roundoff, carry it. Returns the x with the smallest residual, the
+    number of steps taken and that residual: once the residual is at most
+    ``tolerance`` and has stagnated, or with ``_MAX_ITERATIONS`` steps when
+    that does not happen.
     """
     def project(v):
         return 0.5 * (v + parity * v[::-1])
 
     x = project(start)
-    fx = None
+    fx = matvec(x)
     previous = []
     best_residual, best = math.inf, x
     stalls = 0
-    period = _REFRESH_STEPS
     for steps in range(_MAX_ITERATIONS):
         norm = _norm(x)
         x /= norm
-        if steps % period:
-            fx /= norm
-            gradient, residual = _residual(x, fx)
-            if residual <= tolerance:
-                period = 1  # from here on, every F x is a true matvec
-        if steps % period == 0:
-            fx = matvec(x)
+        fx /= norm
+        gradient, residual = _residual(x, fx)
+        if residual <= tolerance < best_residual:
+            fx = matvec(x)  # re-anchor the carried image at the contract
             gradient, residual = _residual(x, fx)
         stalls = 0 if residual < 0.5 * best_residual else stalls + 1
         if residual < best_residual:
