@@ -37,13 +37,15 @@ evaluator that ``mean_cost_direct`` also reads.
 
 Samples run in blocks of 2**16 // 22, one after another, in one kernel
 buffer of two (block, 22) planes. A block draws the next rows of the Philox
-stream and samples its lattice errors and costs. Only the costs and wrapped
-errors, which the mean, RMS, standard error and histogram reduce over, are
-kept for every sample: 16 bytes each, and one 8-byte temporary per sample
-while a reduction runs. So memory is 24 * samples + 440 (N+1) bytes of
-tables + O(block) at its peak, and no per-sample array grows with N. Each
-block writes only its own slices, so the results do not depend on the
-block size. One DEBUG record on the ``qclock`` logger gives the sample and
+stream, samples its lattice errors and costs, and adds its wrapped errors
+to the 101 histogram counts. Only the costs and squared errors, which the
+mean, RMS and standard error reduce over, are kept for every sample:
+16 bytes each. The squares are freed once their mean is taken, before the
+standard error's one 8-byte temporary per sample. So memory is
+16 * samples + 440 (N+1) bytes of tables + O(block) at its peak, and no
+per-sample array grows with N. Each block writes only its own slices and
+adds exact integer counts, so the results do not depend on the block
+size. One DEBUG record on the ``qclock`` logger gives the sample and
 block counts, the samples whose guide start was bisected, and the seconds
 spent building the tables and sampling.
 """
@@ -315,9 +317,10 @@ def run_simulation(config: SimConfig) -> SimResult:
     second, then record the cost f(m h - delta), read from the sampler's
     cost table, and the wrapped error m h - delta. Blocks of samples run
     that pipeline in turn, in one kernel buffer, each drawing the next rows
-    of the one Philox stream. Only the costs and wrapped errors, 16 B per
-    sample, outlive a block. The 101 histogram bins are odd so one bin
-    straddles zero error; the histogram mass always equals the sample count.
+    of the one Philox stream and binning its wrapped errors. Only the costs
+    and squared errors, 16 B per sample, outlive a block. The 101 histogram
+    bins are odd so one bin straddles zero error; the histogram mass always
+    equals the sample count.
     """
     state = state_for(config.state_kind, config.n_ions, config.cost_label)
     cost_fn = canonical_cost(config.cost_label, config.n_ions)
@@ -326,9 +329,12 @@ def run_simulation(config: SimConfig) -> SimResult:
     built = time.perf_counter()
     spacing = TWO_PI / (config.n_ions + 1)
     costs = np.empty(config.samples)
-    errors = np.empty(config.samples)
+    squares = np.empty(config.samples)
+    edges = np.linspace(-np.pi, np.pi, DEFAULT_HISTOGRAM_BINS + 1)
+    counts = np.zeros(DEFAULT_HISTOGRAM_BINS, dtype=np.int64)
     rows = max(1, _BLOCK_ENTRIES // _NODE_COUNT)
     starts = range(0, config.samples, rows)
+    # One buffer for every block: fresh arrays made cold `simulate` 25-45 % slower.
     work = np.empty((2, rows, _NODE_COUNT))
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     fallbacks = 0
@@ -339,7 +345,9 @@ def run_simulation(config: SimConfig) -> SimResult:
         scaled = draws[:, 0] * (config.n_ions + 1)
         fractions = scaled - np.floor(scaled)
         m, costs[lo:hi], missed = sample(fractions, draws[:, 1], work)
-        errors[lo:hi] = wrap_angle(spacing * (m - fractions))
+        errors = wrap_angle(spacing * (m - fractions))
+        counts += np.histogram(errors, bins=edges)[0]
+        np.square(errors, out=squares[lo:hi])
         fallbacks += missed
     _LOG.debug(
         "sampler: samples=%(samples)d block_rows=%(block_rows)d blocks=%(blocks)d"
@@ -355,14 +363,13 @@ def run_simulation(config: SimConfig) -> SimResult:
     )
 
     mean_cost = float(costs.mean())
-    delta_t = float(np.sqrt(np.mean(errors**2)))
+    delta_t = float(np.sqrt(squares.mean()))
+    del squares  # before costs.std's temporary
     if config.samples > 1:
         standard_error = float(costs.std(ddof=1) / np.sqrt(config.samples))
     else:
         standard_error = 0.0
 
-    edges = np.linspace(-np.pi, np.pi, DEFAULT_HISTOGRAM_BINS + 1)
-    counts = np.histogram(errors, bins=edges)[0]
     if int(counts.sum()) != config.samples:
         raise RuntimeError("histogram lost samples; wrapped errors out of range")
     return SimResult(mean_cost, delta_t, standard_error, counts, edges)

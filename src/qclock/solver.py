@@ -270,11 +270,10 @@ def _solve_smallest(matrix: CostMatrix, scale: float):
     tolerance = RESIDUAL_RTOL * scale
     dim = matrix.dim
     column = matrix.column
-    if dim == 1:
-        return float(column[0]), np.ones(1), {"path": "dim1", "iterations": (), "matvecs": 0}
     if matrix.bandwidth <= 1:
         fields = {"path": "closed_form", "iterations": (), "matvecs": 0}
-        return *_tridiagonal_pair(float(column[0]), float(column[1]), dim), fields
+        # A 1x1 matrix has no coupling entry: c0 I with c1 = 0.
+        return *_tridiagonal_pair(float(column[0]), float(column[1:2].sum()), dim), fields
     size, precondition = _strang_preconditioner(column)
     # Fixed start vectors, so the result is deterministic: the positive
     # sine profile, which overlaps the optimum of every built-in cost, and

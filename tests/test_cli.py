@@ -217,6 +217,15 @@ def test_scan_invalid_range(capsys):
     assert "range" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("5", "invalid range '5'; expected a:b or a:b:step"),
+    ("a:b", "invalid range 'a:b': invalid literal for int() with base 10: 'a'"),
+], ids=["one-part", "not-integers"])
+def test_scan_range_needs_two_or_three_integers(capsys, text, message):
+    argv = ["scan", "--kinds", "phase", "--cost", "sin2", "--n", text]
+    assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_scan_invalid_kind(capsys):
     code, _, _ = run_cli(
         capsys, ["scan", "--kinds", "phase,spiral", "--cost", "sin2", "--n", "2:3"]
@@ -269,6 +278,17 @@ def test_memory_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "error: MemoryError\n"
+
+
+def test_lost_histogram_samples_exit_3(capsys, monkeypatch):
+    # the sampler's own check raises a bare RuntimeError
+    monkeypatch.setattr(sim_module, "wrap_angle", lambda x: np.full_like(x, np.nan))
+    code, out, err = run_cli(
+        capsys,
+        ["simulate", "--kind", "phase", "--n", "4", "--cost", "sin2", "--samples", "10"],
+    )
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1].startswith("error: histogram lost samples")
 
 def test_simulate_json_deterministic(capsys):
     argv = ["simulate", "--kind", "phase", "--n", "8", "--cost", "sin2",
@@ -511,6 +531,13 @@ def test_cli_loads_no_scipy_module(statement):
 
 def test_missing_subcommand_exits_2(capsys):
     assert cli.main([]) == 2
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    argv = ["state", "--kind", "phase", "--n", "3"]
+    expected = run_cli(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["qclock", *argv])
+    assert run_cli(capsys, None) == expected
 
 
 COMMANDS = ["state", "posterior", "scan", "simulate", "mutinfo"]

@@ -100,6 +100,12 @@ def test_non_finite_cost_data_is_rejected(build, bad):
         build(bad)
 
 
+@pytest.mark.parametrize("column", [np.ones((2, 2)), np.array([])], ids=["2-d", "empty"])
+def test_cost_matrix_rejects_a_column_that_is_not_a_nonempty_vector(column):
+    with pytest.raises(ValueError, match=r"column must be a nonempty vector, got shape"):
+        CostMatrix(column)
+
+
 def test_evaluate_cost_sin2_values():
     assert abs(evaluate_cost(SIN2, np.pi) - 4.0) <= 1e-15
     assert abs(evaluate_cost(SIN2, 0.0)) <= 1e-15

@@ -31,7 +31,13 @@ from qclock import (
     state_for,
     wrap_angle,
 )
-from qclock.measurement import _alternating_inverse_squares, _grid_offsets, _kernel_on_grid
+from qclock.measurement import (
+    EstimationReport,
+    _alternating_inverse_squares,
+    _grid_offsets,
+    _kernel_on_grid,
+)
+import qclock.measurement as measurement_module
 
 from oracles import (
     outcome_probs_direct,
@@ -213,6 +219,29 @@ def test_validators_reject_non_finite_arrays():
     grid[2] = np.inf
     with pytest.raises(ValueError):
         PosteriorGrid(0, grid, np.full(8, 1.0 / TWO_PI))
+
+
+def test_validators_reject_wrong_shapes_and_mass():
+    with pytest.raises(ValueError, match="^expected 5 probabilities$"):
+        OutcomeDistribution(4, 0.0, np.full(4, 0.25))
+    with pytest.raises(ValueError, match="^outcome probabilities sum to 0.9, not 1$"):
+        OutcomeDistribution(1, 0.0, np.array([0.45, 0.45]))
+    grid = np.linspace(0.0, TWO_PI, 8, endpoint=False)
+    with pytest.raises(ValueError, match="^grid and density must be 1-d arrays of equal length$"):
+        PosteriorGrid(0, grid, np.full(7, 1.0 / TWO_PI))
+    with pytest.raises(ValueError, match="^posterior integrates to 2.0, not 1$"):
+        PosteriorGrid(0, grid, np.full(8, 2.0 / TWO_PI))
+
+
+def test_estimation_report_rejects_values_outside_their_bounds(monkeypatch):
+    with pytest.raises(ValueError, match=r"^circular RMS error 3.5 outside \[0, pi\]$"):
+        EstimationReport(0.1, 3.5, 1.0)
+    with pytest.raises(ValueError, match="^mutual information must be nonnegative$"):
+        EstimationReport(0.1, 1.0, -0.1)
+    # N = 3 carries at most log2(4) = 2 bits
+    monkeypatch.setattr(measurement_module, "mutual_information_bits", lambda state: 2.1)
+    with pytest.raises(ValueError, match=r"^mutual information exceeds the log2\(N\+1\) capacity"):
+        estimation_report(phase_state(3), canonical_cost("sin2", 3))
 
 
 def test_posterior_matches_direct_sum_off_lattice_grid():

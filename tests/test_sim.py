@@ -108,6 +108,12 @@ def test_histogram_mass_and_binning():
     assert edges[middle] < 0.0 < edges[middle + 1]  # one bin straddles zero
 
 
+def test_errors_outside_the_histogram_raise(monkeypatch):
+    monkeypatch.setattr(sim_module, "wrap_angle", lambda x: np.full_like(x, np.nan))
+    with pytest.raises(RuntimeError, match="^histogram lost samples; wrapped errors out of range$"):
+        run_simulation(SimConfig("phase", 10, "sin2", 2000, 7))
+
+
 # (kind, N, cost, samples, seed), then float.hex of the mean cost, delta_t
 # and standard error, then the histogram counts (a dict holds only the
 # nonzero bins). Re-pinned when the sampler drew the lattice error m at the

@@ -75,6 +75,27 @@ def test_dim_one_matrix():
     np.testing.assert_array_equal(pair.eigenvector, [1.0])
 
 
+def test_dim_one_matrix_takes_the_closed_form_path(caplog):
+    with caplog.at_level(logging.DEBUG, logger="qclock"):
+        smallest_eigenpair(CostMatrix(np.array([3.5])))
+    (record,) = caplog.records
+    assert (record.args["path"], record.args["matvecs"]) == ("closed_form", 1)
+
+
+def test_missed_residual_contract_raises(monkeypatch):
+    solve = solver_module._solve_smallest
+
+    def shifted(matrix, scale):
+        eigenvalue, vector, fields = solve(matrix, scale)
+        return eigenvalue + 1.0, vector, fields
+
+    monkeypatch.setattr(solver_module, "_solve_smallest", shifted)
+    with pytest.raises(
+        SolverConvergenceError, match=r"^eigenpair residual .* exceeds 1e-10 \* \|\|F\|\|_inf$"
+    ):
+        smallest_eigenpair(cost_matrix(SIN2, 8))
+
+
 @pytest.mark.parametrize("n", list(range(1, 41)) + [100, 256, 512])
 def test_sin2_eigenvalue_matches_toeplitz_closed_form(n):
     pair = smallest_eigenpair(cost_matrix(SIN2, n))

@@ -141,6 +141,11 @@ def test_invalid_states_rejected():
         ClockState(1, np.array([1.0, 1.0]))  # unnormalized
 
 
+def test_non_finite_amplitudes_rejected():
+    with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+        ClockState(1, np.array([1.0, np.nan]))
+
+
 def test_amplitudes_are_immutable():
     state = phase_state(3)
     with pytest.raises(ValueError):
