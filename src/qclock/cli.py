@@ -7,10 +7,11 @@ its CSV table, and one writer, ``_emit``, prints it in the chosen
 ``--format`` after the ``# command=`` echo of the declared options.
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
-2 usage error, 3 numerical failure, any ``RuntimeError`` or
-``MemoryError``: eigensolver non-convergence, an optimal eigenvector with
-mixed signs (``SignConventionError``), a Monte Carlo histogram that lost
-samples, or running out of memory. Every nonzero exit writes an
+2 usage error, 3 numerical failure, any ``RuntimeError``, ``MemoryError``
+or library ``ValueError``: eigensolver non-convergence, an optimal
+eigenvector with mixed signs (``SignConventionError``), a Monte Carlo
+histogram that lost samples, mutual information above its log2(N+1)
+bound, or running out of memory. Every nonzero exit writes an
 ``error: ...`` line to stderr instead of a traceback; a ``scan`` whose
 rows fail still prints them before it exits 3.
 """
@@ -397,7 +398,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, MemoryError) as exc:
+    except (RuntimeError, MemoryError, ValueError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     if failure:

@@ -18,9 +18,9 @@ trigonometric polynomials of degree below the node count. Outcome
 distributions read K on the N+1 outcomes, shifted by t. One transform,
 ``_shifted_fft`` (the FFT of c_k exp(i k delta), one row per shift), gives
 every value of K, the costs on the mean-cost grid, and the sampler's CDF
-and cost tables at 22 offsets. One cost evaluator on it, ``_cost_on_grid``,
-does not cancel near zero error; the mean-cost grid and the sampler's cost
-table read it. The posterior's phases come from the integers k j mod (N+1).
+and cost tables at 22 offsets. ``_cost_on_grid`` sums costs on it by the
+rule of ``cost._cost_forms``, which does not cancel near zero error. The
+posterior's phases come from the integers k j mod (N+1).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostFunction, _deficit_steps, _sum_of_squares, mean_cost_bound
-from .states import ClockState, _check_n_ions, _compensated_cumsum, _freeze, _is_integer
+from .cost import CostFunction, _cost_forms, _deficit_steps, _sum_of_squares, mean_cost_bound
+from .states import ClockState, _check_n_ions, _freeze, _is_integer
 
 TWO_PI = 2.0 * np.pi
 _BOOLE_START = 64
@@ -160,29 +160,13 @@ def _kernel_on_grid(amplitudes: np.ndarray, grid_size: int, shift=0.0) -> np.nda
 def _cost_on_grid(f: CostFunction, size: int, shift=0.0) -> np.ndarray:
     """f(2*pi*g/size - shift), g = 0..size-1, one row per shift; needs size > K.
 
-    Every cosine sum sum_k c_k cos(k x) on the grid is Re FFT_g(c_k e^{i k shift}),
-    a row of ``_shifted_fft`` per shift, exact since no frequency aliases.
-    f is summed in two forms and each entry keeps the one with the smaller
-    error bound (only the real parts of the transforms are kept):
-    w0 - sum_k w_k cos(k x), ~eps W off for W = sum_k w_k, and
-    (w0 - W) + (1 - cos x) E(x), ~eps (1 - cos x) E(0) off, where
-    E(x) = sum_k w_k (1 - cos k x) / (1 - cos x) = e_0 + 2 sum_k e_k cos(k x)
-    with e_k = sum_{j>k} (j - k) w_j >= 0 and E(0) = sum_k k^2 w_k. Near
-    x = 0 the second does not cancel; the first loses ~eps W / f there:
-    1e-8 relative for the sin2 cost on the N+1 = 301 lattice, and 2e-8 in
-    the sin2 optimum's ``mean_cost_direct`` at N = 10^5.
+    By ``cost._cost_forms`` at each wrapped x; each cosine sum is the real part
+    of a ``_shifted_fft`` row, FFT_g(c_k e^{i k shift}), exact as nothing aliases.
     """
-    w = f.coefficients
-    direct = f.w0 - _shifted_fft(np.pad(w, (1, 0)), size, shift).real
-    # e_{k-1} - e_k = sum_{j>=k} w_j: two compensated suffix sums
-    e = _compensated_cumsum(_compensated_cumsum(w[::-1]))[::-1]
-    e[1:] *= 2.0
     g = np.arange(size)
     lattice = np.where(2 * g > size, g - size, g) * (TWO_PI / size)
-    versine = 2.0 * np.sin(0.5 * np.subtract.outer(lattice, shift).T) ** 2
-    near = math.fsum([f.w0, *-w]) + versine * _shifted_fft(e, size, shift).real
-    curvature = float(np.arange(1.0, w.size + 1.0) ** 2 @ w)
-    return np.where(versine * curvature < w.sum(), near, direct)
+    x = np.subtract.outer(lattice, shift).T
+    return _cost_forms(f, x, lambda c: _shifted_fft(c, size, shift).real)
 
 
 def outcome_distribution(state: ClockState, t: float) -> OutcomeDistribution:

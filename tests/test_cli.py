@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from qclock import cli
 from qclock.cost import CANONICAL_LABELS
+import qclock.measurement as measurement_module
 import qclock.sim as sim_module
 from qclock.sim import ScanRow
 from qclock.solver import SignConventionError
@@ -289,6 +290,15 @@ def test_lost_histogram_samples_exit_3(capsys, monkeypatch):
     )
     assert (code, out) == (3, "")
     assert err.splitlines()[-1].startswith("error: histogram lost samples")
+
+
+def test_library_value_error_exits_3(capsys, monkeypatch):
+    # a self-check on a computed value raises ValueError after parsing
+    monkeypatch.setattr(measurement_module, "mutual_information_bits", lambda state: 99.0)
+    code, out, err = run_cli(capsys, ["scan", "--kinds", "phase", "--cost", "sin2", "--n", "4:4"])
+    assert (code, out) == (3, "")
+    assert err == "error: mutual information exceeds the log2(N+1) capacity bound\n"
+
 
 def test_simulate_json_deterministic(capsys):
     argv = ["simulate", "--kind", "phase", "--n", "8", "--cost", "sin2",

@@ -25,8 +25,11 @@ from qclock import (
 )
 from qclock.cost import _deficits, _smooth_size
 import qclock.cost as cost_module
+from qclock.measurement import _cost_on_grid
+from qclock.sim import _node_offsets
 
 from oracles import (
+    cost_at_outcome_mp,
     exact_deficits,
     is_five_smooth,
     product_cost_mp,
@@ -113,6 +116,40 @@ def test_evaluate_cost_sin2_values():
     np.testing.assert_allclose(
         evaluate_cost(SIN2, t), 4.0 * np.sin(t / 2.0) ** 2, rtol=0, atol=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "label,order", [("sin2", 1), ("abs", 64), ("abs_sin_half", 64), ("neg_delta", 64)]
+)
+def test_evaluate_cost_keeps_relative_digits_near_zero_error(label, order):
+    # The optimal clock resolves time to ~pi/(N+1), so costs are read at
+    # errors down to 1e-8, where w0 - sum_k w_k cos(k t) alone cancels:
+    # 2 - 2 cos(1e-8) rounds to 0.0.
+    f = canonical_cost(label, order)
+    for t in (1e-8, -1e-8, 1e-6, 1e-4, 1e-2, 0.5, 1.5, 3.0):
+        exact = cost_at_outcome_mp(f.w0, f.coefficients, 0, 1, -t, dps=40)
+        assert abs(evaluate_cost(f, t) - exact) <= 1e-14 * abs(exact), t
+
+
+@pytest.mark.parametrize("label", CANONICAL_LABELS)
+def test_evaluate_cost_agrees_with_the_sampler_cost_table(label):
+    # Both sum f by cost._cost_forms, one by K-term loops and one by FFT, at
+    # the same points x = lattice - delta: within 4 eps of the series each
+    # everywhere, and to a few eps of f in rows 0 and 1, next to zero error.
+    n_ions = 33
+    dim = n_ions + 1
+    f = canonical_cost(label, n_ions)
+    offsets = _node_offsets(dim)
+    g = np.arange(dim)
+    lattice = np.where(2 * g > dim, g - dim, g) * (2.0 * np.pi / dim)
+    x = np.subtract.outer(lattice, offsets).T
+    table = _cost_on_grid(f, dim, offsets)
+    values = evaluate_cost(f, x)
+    eps = np.finfo(float).eps
+    scale = abs(f.w0) + f.coefficients.sum()
+    gap = np.abs(values - table)
+    assert np.all(gap <= 8.0 * eps * scale)
+    assert np.all(gap[:, :2] <= 16.0 * eps * np.abs(values[:, :2]))
 
 
 def test_evaluate_cost_abs_truncation_error():

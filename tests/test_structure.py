@@ -10,8 +10,10 @@ options are added only by ``cli._build_parser``, from its one table, and
 only ``cli.main`` prints a result through ``cli._emit``. Only
 ``cost._circulant_eigenvalues`` takes the real DFT of a symmetric
 circulant's column, for the matvec's embedding and the solver's
-preconditioner alike. The library runs on the caller's thread: no module
-imports a thread or process pool.
+preconditioner alike. Only ``cost._cost_forms`` picks, point by point,
+the form of a cost that does not cancel, for ``cost.evaluate_cost`` and
+``measurement._cost_on_grid`` alike. The library runs on the caller's
+thread: no module imports a thread or process pool.
 """
 
 import ast
@@ -137,6 +139,18 @@ def test_one_circulant_eigenvalue_builder():
         if _is_real_of_rfft(node)
     ]
     assert sites == [("cost.py", "_circulant_eigenvalues")]
+
+
+def test_one_cost_form_rule():
+    definitions, callers = [], set()
+    for path in SOURCES:
+        for node, function in _enclosing_functions(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "_cost_forms":
+                definitions.append(path.name)
+            if _called_name(node) == "_cost_forms":
+                callers.add((path.name, function))
+    assert definitions == ["cost.py"]
+    assert callers == {("cost.py", "evaluate_cost"), ("measurement.py", "_cost_on_grid")}
 
 
 def _imported_modules(tree):
