@@ -7,7 +7,8 @@ its CSV table, and one writer, ``_emit``, prints it in the chosen
 ``--format`` after the ``# command=`` echo of the declared options.
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
-2 usage error, 3 numerical failure, any ``RuntimeError``, ``MemoryError``
+2 usage error (a ``--gnuplot`` path that cannot be written included),
+3 numerical failure, any ``RuntimeError``, ``MemoryError``
 or library ``ValueError``: eigensolver non-convergence, an optimal
 eigenvector with mixed signs (``SignConventionError``), a Monte Carlo
 histogram that lost samples, mutual information above its log2(N+1)
@@ -164,7 +165,10 @@ def _write_gnuplot(path: str, title: str, plot_line: str, args) -> None:
         f"set title '{title.format_map(vars(args))}'\n"
         f"{plot_line.format(datafile=datafile)}\n"
     )
-    Path(path).write_text(script, encoding="utf-8")
+    try:
+        Path(path).write_text(script, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write --gnuplot {path}: {exc.strerror or exc}") from None
     print(f"wrote gnuplot script: {path}", file=sys.stderr)
 
 

@@ -45,14 +45,13 @@ standard error's one 8-byte temporary per sample. So memory is
 16 * samples + 440 (N+1) bytes of tables + O(block) at its peak, and no
 per-sample array grows with N. Each block writes only its own slices and
 adds exact integer counts, so the results do not depend on the block
-size. One DEBUG record on the ``qclock`` logger gives the sample and
-block counts, the samples whose guide start was bisected, and the seconds
-spent building the tables and sampling.
+size. One ``sampler`` record (``states._record``) gives the sample and
+block counts, the samples whose guide start was bisected (``fallbacks``),
+and the seconds spent building the tables and sampling.
 """
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -67,6 +66,7 @@ from .states import (
     _check_n_ions,
     _freeze,
     _is_integer,
+    _record,
     max_energy_spread_state,
     phase_state,
     product_state,
@@ -85,7 +85,6 @@ _NODE_COUNT = 22
 _NODES = np.cos(np.pi * np.arange(_NODE_COUNT) / (_NODE_COUNT - 1))
 _BARYCENTRIC = np.where(np.arange(_NODE_COUNT) % 2, -1.0, 1.0)
 _BARYCENTRIC[[0, -1]] *= 0.5
-_LOG = logging.getLogger("qclock")
 
 __all__ = [
     "KINDS",
@@ -349,18 +348,14 @@ def run_simulation(config: SimConfig) -> SimResult:
         counts += np.histogram(errors, bins=edges)[0]
         np.square(errors, out=squares[lo:hi])
         fallbacks += missed
-    _LOG.debug(
-        "sampler: samples=%(samples)d block_rows=%(block_rows)d blocks=%(blocks)d"
-        " fallbacks=%(fallbacks)d table_s=%(table_s).6f sampling_s=%(sampling_s).6f",
-        {
-            "samples": config.samples,
-            "block_rows": rows,
-            "blocks": len(starts),
-            "fallbacks": fallbacks,
-            "table_s": built - started,
-            "sampling_s": time.perf_counter() - built,
-        },
-    )
+    _record("sampler", {
+        "samples": config.samples,
+        "block_rows": rows,
+        "blocks": len(starts),
+        "fallbacks": fallbacks,
+        "table_s": built - started,
+        "sampling_s": time.perf_counter() - built,
+    })
 
     mean_cost = float(costs.mean())
     delta_t = float(np.sqrt(squares.mean()))

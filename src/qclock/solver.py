@@ -34,14 +34,13 @@ the residual contract, and the sign convention is fixed last.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cost import CostFunction, CostMatrix, _circulant_eigenvalues, _smooth_size, cost_matrix
-from .states import ClockState, _freeze
+from .states import ClockState, _freeze, _record
 
 RESIDUAL_RTOL = 1e-10
 SIGN_TOL = 1e-10
@@ -54,7 +53,6 @@ _STALL_STEPS = 3
 # A search direction is dropped when less than this fraction of it is
 # orthogonal to the directions before it.
 _DROP_TOL = 1e-13
-_LOG = logging.getLogger("qclock")
 
 __all__ = [
     "SolverConvergenceError",
@@ -248,17 +246,6 @@ def _lobpcg(matvec, precondition, parity: float, start: np.ndarray, tolerance: f
     return best, _MAX_ITERATIONS, best_residual
 
 
-def _log_solve(fields: dict, residual_rel: float) -> None:
-    """The one DEBUG record of a solve, whether it converged or not."""
-    message = (
-        "solver: path=%(path)s iterations=%(iterations)s residual_rel=%(residual_rel).3e"
-        " matvecs=%(matvecs)d"
-    )
-    if "circulant" in fields:
-        message += " circulant=%(circulant)d"
-    _LOG.debug(message, {**fields, "residual_rel": residual_rel})
-
-
 def _solve_smallest(matrix: CostMatrix, scale: float):
     """(eigenvalue, vector, log fields): the solver path, the LOBPCG steps
     per parity class, the matvecs made and, on the LOBPCG path, the
@@ -298,7 +285,7 @@ def _solve_smallest(matrix: CostMatrix, scale: float):
         fields = {"path": "lobpcg", "iterations": tuple(steps), "matvecs": matvecs,
                   "circulant": size}
         if taken == _MAX_ITERATIONS:
-            _log_solve(fields, residual / scale)
+            _record("solver", {**fields, "residual_rel": residual / scale})
             raise SolverConvergenceError(
                 f"LOBPCG did not converge in {_MAX_ITERATIONS} iterations: "
                 f"residual {residual:.3e}, contract {tolerance:.3e}"
@@ -324,20 +311,21 @@ def smallest_eigenpair(matrix: CostMatrix) -> EigenPair:
     and flipped so its largest-magnitude entry is positive. Non-convergence
     raises ``SolverConvergenceError`` instead of returning a wrong answer.
     Time is O(N) for a tridiagonal matrix and O(N log N) per LOBPCG step
-    otherwise; memory is O(N). One DEBUG record on the ``qclock`` logger
-    gives the path, the LOBPCG steps per parity class and residual/||F||_inf,
-    the best one reached when LOBPCG does not converge, the number of
-    ``CostMatrix.matvec`` calls, this check's included, and on the LOBPCG
-    path the size M of the preconditioner's circulant.
+    otherwise; memory is O(N). One ``solver`` record (``states._record``)
+    gives the ``path``, the LOBPCG steps per parity class (``iterations``),
+    the number of ``CostMatrix.matvec`` calls, this check's included
+    (``matvecs``), on the LOBPCG path the size M of the preconditioner's
+    circulant (``circulant``), and residual/||F||_inf (``residual_rel``),
+    the best one reached when LOBPCG does not converge.
     """
     scale = _inf_norm(matrix.column) or 1.0
     eigenvalue, vector, fields = _solve_smallest(matrix, scale)
-    vector = vector / np.linalg.norm(vector)
+    vector = vector / math.sqrt(np.square(vector).sum())
     if vector[np.argmax(np.abs(vector))] < 0.0:
         vector = -vector
     residual = float(np.linalg.norm(matrix.matvec(vector) - eigenvalue * vector))
     fields["matvecs"] += 1
-    _log_solve(fields, residual / scale)
+    _record("solver", {**fields, "residual_rel": residual / scale})
     if residual > RESIDUAL_RTOL * scale:
         raise SolverConvergenceError(
             f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * ||F||_inf"
@@ -363,5 +351,5 @@ def optimal_state(f: CostFunction, n_ions: int) -> ClockState:
             "define a valid amplitude vector under the nonnegativity convention"
         )
     amplitudes = np.maximum(amplitudes, 0.0)
-    amplitudes = amplitudes / np.linalg.norm(amplitudes)
+    amplitudes = amplitudes / math.sqrt(np.square(amplitudes).sum())
     return ClockState(n_ions, amplitudes)

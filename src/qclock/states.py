@@ -7,12 +7,14 @@ objects: real nonnegative amplitude vectors of unit Euclidean norm.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 NORM_TOL = 1e-12
+_LOG = logging.getLogger("qclock")
 
 __all__ = [
     "ClockState",
@@ -51,7 +53,8 @@ class ClockState:
             raise ValueError("amplitudes must be finite")
         if np.any(amps < 0.0):
             raise ValueError("amplitudes must be nonnegative (fixed phase convention)")
-        norm_sq = float(amps @ amps)
+        # Pairwise summation: a BLAS dot errs by ~N eps on near-equal entries.
+        norm_sq = float(np.square(amps).sum())
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"amplitudes not normalized: sum of squares = {norm_sq}")
 
@@ -76,6 +79,16 @@ def _freeze(obj, name: str, dtype=float) -> np.ndarray:
     array.flags.writeable = False
     object.__setattr__(obj, name, array)
     return array
+
+
+def _record(layer: str, fields: dict) -> None:
+    """The one DEBUG record of a layer on the ``qclock`` logger.
+
+    Its message is ``layer: name=value ...`` in the order of ``fields``,
+    which are the record's ``args``; it is built only when DEBUG is on.
+    """
+    if _LOG.isEnabledFor(logging.DEBUG):
+        _LOG.debug(f"{layer}: " + " ".join(f"{name}=%({name})s" for name in fields), fields)
 
 
 def _is_integer(value) -> bool:

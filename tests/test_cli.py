@@ -414,6 +414,15 @@ def test_gnuplot_companion_script(capsys, tmp_path):
         assert run_cli(capsys, argv) == (0, out, "")
 
 
+
+def test_unwritable_gnuplot_path_exits_2(capsys, tmp_path):
+    script = tmp_path / "missing" / "x.gp"
+    argv = ["posterior", "--kind", "phase", "--n", "4", "--gnuplot", str(script)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(script) in err
+    assert "Traceback" not in err and not script.exists()
+
 # sha256 of stdout, recorded before the writer was shared by all subcommands. The
 # JSON digests of the abs state and of the scan were re-pinned when the
 # closed-form and LOBPCG eigensolvers moved their last printed digits, and the

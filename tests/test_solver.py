@@ -1,4 +1,5 @@
 import logging
+import math
 import tracemalloc
 
 import numpy as np
@@ -484,6 +485,14 @@ def test_neg_delta_large_n_eigenvalue_matches_closed_form():
     pair = smallest_eigenpair(cost_matrix(canonical_cost("neg_delta", n), n))
     exact = (n + 1) / (2.0 * np.pi)
     assert abs(pair.eigenvalue + exact) <= 1e-14 * exact
+
+
+def test_neg_delta_optimum_is_normalized_at_large_n():
+    # np.linalg.norm's dot left this eigenvector 1e-12 off unit norm, which
+    # the ClockState check rejected.
+    n = 2_097_147
+    amplitudes = optimal_state(canonical_cost("neg_delta", n), n).amplitudes
+    assert abs(math.fsum(amplitudes**2) - 1.0) <= 1e-14
 
 
 def test_solver_deterministic():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,13 @@ def test_product_state_keeps_its_digits_at_large_n(n):
     reference = product_amplitudes_mp(n)
     error = np.abs(product_state(n).amplitudes - reference).max()
     assert error <= 8.0 * np.spacing(reference.max())
+
+
+@pytest.mark.parametrize("n", [2_097_147, 4_000_000])
+def test_phase_state_norm_check_holds_at_large_n(n):
+    # A BLAS dot over 1/sqrt(N+1) entries errs by ~N eps and rejected this state.
+    amplitudes = phase_state(n).amplitudes
+    assert abs(math.fsum(amplitudes**2) - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [3, 10, 101, 512])

@@ -13,7 +13,9 @@ circulant's column, for the matvec's embedding and the solver's
 preconditioner alike. Only ``cost._cost_forms`` picks, point by point,
 the form of a cost that does not cancel, for ``cost.evaluate_cost`` and
 ``measurement._cost_on_grid`` alike. The library runs on the caller's
-thread: no module imports a thread or process pool.
+thread: no module imports a thread or process pool. The one ``qclock``
+logger is made at the top of ``states.py``, and only ``states._record``
+writes on it, one DEBUG record in one ``layer: name=value ...`` format.
 """
 
 import ast
@@ -151,6 +153,19 @@ def test_one_cost_form_rule():
                 callers.add((path.name, function))
     assert definitions == ["cost.py"]
     assert callers == {("cost.py", "evaluate_cost"), ("measurement.py", "_cost_on_grid")}
+
+
+def test_one_logger_and_one_debug_record_helper():
+    loggers, debug_sites = [], set()
+    for path in SOURCES:
+        for node, function in _enclosing_functions(ast.parse(path.read_text())):
+            name = _called_name(node)
+            if name == "getLogger":
+                loggers.append((path.name, function, ast.literal_eval(node.args[0])))
+            if name == "debug":
+                debug_sites.add((path.name, function))
+    assert loggers == [("states.py", None, "qclock")]
+    assert debug_sites == {("states.py", "_record")}
 
 
 def _imported_modules(tree):
