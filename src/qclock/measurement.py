@@ -30,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostFunction, _cost_forms, _deficit_steps, _sum_of_squares, mean_cost_bound
+from .cost import (
+    CostFunction, _cost_forms, _deficit_steps, _smooth_size, _sum_of_squares, mean_cost_bound,
+)
 from .states import ClockState, _check_n_ions, _freeze, _is_integer
 
 TWO_PI = 2.0 * np.pi
@@ -287,20 +289,18 @@ def optimal_state_posterior_closed_form(
     return PosteriorGrid(outcome_index, _uniform_grid(grid_size), ratio**2 / (4.0 * np.pi * top))
 
 
-def mean_cost_direct(state: ClockState, f: CostFunction, grid_size: int | None = None) -> float:
+def mean_cost_direct(state: ClockState, f: CostFunction) -> float:
     """Mean cost of the covariant measurement computed from its statistics.
 
     Evaluates sum_j integral P(t_j | t) f(t_j - t) dt / (2 pi), equal to
     (N+1)/(2 pi) integral K(T) f(T) dT, by the periodic trapezoid rule.
-    K f is a trigonometric polynomial of degree N + K, so the default grid
-    of 8 (N + K) nodes makes the quadrature exact up to roundoff; the value
-    then matches ``mean_cost_bound`` because the measurement attains it.
-    The costs come from ``_cost_on_grid``, which does not cancel where K peaks.
+    K f is a trigonometric polynomial of degree N + K, so the rule is exact
+    up to roundoff on G = ``_smooth_size(N + K + 1)`` nodes, the least
+    5-smooth count above that degree; the value then matches
+    ``mean_cost_bound`` because the measurement attains it. The costs come
+    from ``_cost_on_grid``, which does not cancel where K peaks.
     """
-    minimum = 8 * (state.n_ions + max(f.order, 1))
-    if grid_size is None:
-        grid_size = minimum
-    _check_grid(grid_size, minimum)
+    grid_size = _smooth_size(state.dim + f.order)
     kernel = _kernel_on_grid(state.amplitudes, grid_size)
     return float(state.dim * (kernel @ _cost_on_grid(f, grid_size)) / grid_size)
 
@@ -353,7 +353,10 @@ def mutual_information_bits(state: ClockState, grid_size: int | None = None) -> 
         I = log2(N+1) + ((N+1)/2 pi) integral K(T) log2 K(T) dT,
 
     with zero-probability terms contributing zero. Bounded above by
-    log2(N+1), the information capacity of the N+1 outcomes.
+    log2(N+1), the information capacity of the N+1 outcomes. The grid sum
+    is the Kullback-Leibler divergence of the grid distribution (N+1) K / G
+    from the uniform one, so it is >= 0 (Gibbs' inequality); a rounded
+    negative sum is returned as 0.0.
     """
     dim = state.dim
     minimum = 16 * dim
@@ -362,7 +365,7 @@ def mutual_information_bits(state: ClockState, grid_size: int | None = None) -> 
     _check_grid(grid_size, minimum)
     kernel = _kernel_on_grid(state.amplitudes, grid_size)
     positive = kernel[kernel > 0.0]
-    return float(np.log2(dim) + dim * np.sum(positive * np.log2(positive)) / grid_size)
+    return max(float(np.log2(dim) + dim * np.sum(positive * np.log2(positive)) / grid_size), 0.0)
 
 
 def mutual_information_nats(state: ClockState, grid_size: int | None = None) -> float:

@@ -123,7 +123,7 @@ def _root_binomial_weights(n: int) -> np.ndarray:
     i = np.arange((n + 1) // 2, n, dtype=float)
     upper = np.cumprod(np.concatenate(([1.0], np.sqrt((n - i) / (i + 1.0)))))
     weights = np.concatenate((upper[::-1], upper[1 - n % 2 :]))
-    return weights * np.sqrt(1.0 / (weights @ weights))
+    return weights * np.sqrt(1.0 / np.square(weights).sum())
 
 
 def product_state(n_ions: int) -> ClockState:

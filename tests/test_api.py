@@ -38,7 +38,6 @@ INTEGER_ARGUMENTS = {
         lambda v: qclock.phase_state_posterior_closed_form(4, v, 80), 1),
     "optimal_closed_form-grid": (
         lambda v: qclock.optimal_state_posterior_closed_form(4, 0, v), 80),
-    "mean_cost_direct-grid": (lambda v: qclock.mean_cost_direct(STATE, SIN2, v), 80),
     "mutual_information-grid": (lambda v: qclock.mutual_information_bits(STATE, v), 80),
 }
 

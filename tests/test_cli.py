@@ -354,6 +354,14 @@ def test_mutinfo_basis_state_is_zero(capsys):
     assert payload["holevo_bound_bits"] == pytest.approx(np.log2(11.0))
 
 
+def test_mutinfo_of_basis_state_prints_zero_not_a_negative_roundoff(capsys):
+    code, out, _ = run_cli(capsys, ["mutinfo", "--kind", "basis", "--n", "2"])
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["bits"] == 0.0 and payload["nats"] == 0.0
+    assert '"bits": 0.0,' in out and '"nats": 0.0,' in out
+
+
 def test_mutinfo_phase_doubling(capsys):
     values = {}
     for n in (31, 63):

@@ -531,9 +531,20 @@ def test_mean_cost_direct_of_sin2_optimum_matches_mpmath(n, tolerance):
     assert abs(direct - exact) <= tolerance * exact
 
 
-def test_mean_cost_direct_rejects_coarse_grid():
-    with pytest.raises(ValueError):
-        mean_cost_direct(phase_state(10), SIN2, grid_size=80)
+def test_mean_cost_direct_is_exact_on_its_grid():
+    # K f has degree N + K, so the trapezoid rule on _smooth_size(N + K + 1)
+    # nodes is exact: only roundoff of the scale |w0| + sum_k w_k remains.
+    cases = [
+        (state_for(kind, n, label), canonical_cost(label, n))
+        for n in (1, 2, 7, 33, 64, 300, 1023, 4096)
+        for label in ("sin2", "abs", "abs_sin_half", "neg_delta")
+        for kind in ("product", "phase", "optimal", "max_spread")
+    ]
+    cases.append((phase_state(10), canonical_cost("abs", 256)))  # K > N
+    for state, f in cases:
+        scale = abs(f.w0) + f.coefficients.sum()
+        error = abs(mean_cost_direct(state, f) - mean_cost_bound(state, f))
+        assert error <= 10.0 * np.finfo(float).eps * scale, (state.n_ions, f.label)
 
 
 def test_circular_rms_error_matches_series_oracle():
@@ -649,6 +660,26 @@ def test_mutual_information_basis_state_is_zero():
     amplitudes = np.zeros(9)
     amplitudes[4] = 1.0
     assert abs(mutual_information_bits(ClockState(8, amplitudes))) <= 1e-12
+
+
+def test_mutual_information_of_basis_states_is_not_negative():
+    # The grid sum is a Kullback-Leibler divergence, >= 0 by Gibbs'
+    # inequality; rounded, it fell to -7.1e-15 for some N.
+    for n in range(1, 1025):
+        assert mutual_information_bits(state_for("basis", n)) >= 0.0
+    for n in (2, 100, 1000):
+        amplitudes = np.zeros(n + 1)
+        amplitudes[0] = 1.0
+        assert mutual_information_bits(ClockState(n, amplitudes)) >= 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=65).filter(any))
+def test_mutual_information_lies_between_zero_and_capacity(weights):
+    amplitudes = np.array(weights) / max(weights)  # no squares underflow to 0
+    amplitudes /= math.sqrt(math.fsum(amplitudes**2))
+    info = mutual_information_bits(ClockState(amplitudes.size - 1, amplitudes))
+    assert 0.0 <= info <= np.log2(amplitudes.size)
 
 
 def test_mutual_information_bounded_by_capacity():
