@@ -97,12 +97,6 @@ class CostMatrix:
         nonzero = np.flatnonzero(self.column[1:])
         return int(nonzero[-1]) + 1 if nonzero.size else 0
 
-    @property
-    def entries(self) -> np.ndarray:
-        """The dense (N+1) x (N+1) matrix, built on every access; for checks only."""
-        idx = np.arange(self.dim)
-        return self.column[np.abs(idx[:, None] - idx)]
-
     @cached_property
     def _circulant_spectrum(self) -> np.ndarray:
         # F is the leading block of the symmetric circulant of 5-smooth size

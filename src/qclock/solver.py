@@ -323,7 +323,7 @@ def smallest_eigenpair(matrix: CostMatrix) -> EigenPair:
     vector = vector / math.sqrt(np.square(vector).sum())
     if vector[np.argmax(np.abs(vector))] < 0.0:
         vector = -vector
-    residual = float(np.linalg.norm(matrix.matvec(vector) - eigenvalue * vector))
+    residual = _norm(matrix.matvec(vector) - eigenvalue * vector)
     fields["matvecs"] += 1
     _record("solver", {**fields, "residual_rel": residual / scale})
     if residual > RESIDUAL_RTOL * scale:

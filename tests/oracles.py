@@ -3,8 +3,11 @@
 These deliberately avoid the code paths they check: exact integer
 binomials instead of log-gamma, a terminating cosine series instead of
 quadrature, direct complex sums instead of FFTs, exact big-integer
-autocorrelations, LDL-inertia bisection instead of an eigensolver, and
-LAPACK's dense eigenpair refined in mpmath instead of an iterative one.
+autocorrelations, LDL-inertia bisection instead of an eigensolver,
+LAPACK's dense eigenpair refined in mpmath instead of an iterative one,
+and states and kernels from their closed forms instead of the library's
+builders. ``tests/test_cli.py`` checks every field of the golden CLI
+outputs against them.
 """
 
 import math
@@ -13,6 +16,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import scipy.linalg
+from scipy.stats import chi2
 
 
 def exact_binomial_amplitudes(n: int) -> np.ndarray:
@@ -120,6 +124,15 @@ def rayleigh_quotient_mp(amplitudes, w0: float, coefficients, dps: int = 40) -> 
         return float(mpmath.fsum(terms) / sums[0])
 
 
+def dense_toeplitz(column) -> np.ndarray:
+    """The dense symmetric Toeplitz matrix T_{mm'} = column[|m - m'|].
+
+    ``CostMatrix`` stores only this first column; the (N+1) x (N+1) matrix
+    exists only here, for the dense checks the tests make.
+    """
+    return scipy.linalg.toeplitz(np.asarray(column, dtype=float))
+
+
 def smallest_eigenpair_mp(entries: np.ndarray, dps: int = 40, steps: int = 3):
     """Smallest eigenpair of a symmetric matrix to ``dps`` digits.
 
@@ -183,6 +196,76 @@ def product_amplitudes_mp(n: int, dps: int = 40) -> np.ndarray:
     """Product-state amplitudes sqrt(C(N, m)/2^N), each rounded once to float."""
     with mpmath.workdps(dps):
         return np.array([float(mpmath.sqrt(p)) for p in _binomial_weights_mp(n)])
+
+
+def sine_state_amplitudes_mp(n: int, dps: int = 40) -> np.ndarray:
+    """The sin2 optimum a_m = sin(pi (m+1)/(N+2)) / norm, each rounded once to float."""
+    with mpmath.workdps(dps):
+        sines = [mpmath.sin(mpmath.pi * (m + 1) / (n + 2)) for m in range(n + 1)]
+        norm = mpmath.sqrt(mpmath.fdot(sines, sines))
+        return np.array([float(v / norm) for v in sines])
+
+
+def energy_moments_mp(amplitudes, dps: int = 40) -> tuple[float, float]:
+    """Mean and spread of the energy m in the state a / |a|, in mpmath."""
+    with mpmath.workdps(dps):
+        weights = [mpmath.mpf(float(x)) ** 2 for x in amplitudes]
+        norm_sq = mpmath.fsum(weights)
+        mean = mpmath.fsum(m * w for m, w in enumerate(weights)) / norm_sq
+        variance = mpmath.fsum((m - mean) ** 2 * w for m, w in enumerate(weights)) / norm_sq
+        return float(mean), float(mpmath.sqrt(variance))
+
+
+def _kernel_mp(amplitudes, t):
+    """K(t) = |sum_m a_m e^{i m t}|^2 / ((N+1) |a|^2) at an mpmath time t."""
+    a = [mpmath.mpf(float(x)) for x in amplitudes]
+    amplitude = mpmath.fsum(am * mpmath.expj(m * t) for m, am in enumerate(a))
+    return abs(amplitude) ** 2 / (len(a) * mpmath.fdot(a, a))
+
+
+def _information_sum_mp(dim: int, kernel_values, grid_size: int) -> float:
+    """log2(N+1) + ((N+1)/G) sum_g K_g log2 K_g, zero K_g contributing zero."""
+    total = mpmath.fsum(k * mpmath.log(k, 2) for k in kernel_values if k > 0)
+    return float(mpmath.log(dim, 2) + dim * total / grid_size)
+
+
+def mutual_information_mp(amplitudes, grid_size: int, dps: int = 30) -> float:
+    """Mutual information (bits) on G nodes t_g = 2 pi g / G, by direct sums in mpmath."""
+    with mpmath.workdps(dps):
+        kernel = [_kernel_mp(amplitudes, 2 * mpmath.pi * g / grid_size) for g in range(grid_size)]
+        return _information_sum_mp(len(amplitudes), kernel, grid_size)
+
+
+def phase_mutual_information_mp(n: int, grid_size: int, dps: int = 30) -> float:
+    """``mutual_information_mp`` of the phase state from its Fejer kernel.
+
+    K(T) = sin^2((N+1) T/2) / ((N+1)^2 sin^2(T/2)), K(0) = 1, in closed form:
+    no amplitude and no sum over levels enters.
+    """
+    dim = n + 1
+    with mpmath.workdps(dps):
+        half = [mpmath.pi * g / grid_size for g in range(1, grid_size)]
+        kernel = [mpmath.sin(dim * h) ** 2 / (dim**2 * mpmath.sin(h) ** 2) for h in half]
+        return _information_sum_mp(dim, [mpmath.mpf(1)] + kernel, grid_size)
+
+
+def posterior_mp(amplitudes, outcome: int, grid_size: int, dps: int = 30):
+    """Grid t_g = 2 pi g / G, offsets wrap(t_g - t_j) in (-pi, pi] and the
+    posterior density (N+1) K(t_g - t_j) / (2 pi), each rounded once.
+
+    The offset 2 pi (g/G - j/(N+1)) is wrapped as an exact fraction of a turn.
+    """
+    dim = len(amplitudes)
+    t, offset, density = [], [], []
+    with mpmath.workdps(dps):
+        for g in range(grid_size):
+            turns = Fraction(g, grid_size) - Fraction(outcome, dim)
+            turns -= math.ceil(turns - Fraction(1, 2))
+            x = 2 * mpmath.pi * mpmath.mpf(turns.numerator) / turns.denominator
+            t.append(float(2 * mpmath.pi * g / grid_size))
+            offset.append(float(x))
+            density.append(float(dim * _kernel_mp(amplitudes, x) / (2 * mpmath.pi)))
+    return np.array(t), np.array(offset), np.array(density)
 
 
 def cost_at_outcome_mp(w0: float, coefficients, outcome: int, dim: int, t: float,
@@ -388,3 +471,41 @@ def cost_second_moment_mp(w0: float, coefficients, amplitudes, dps: int = 30) ->
 
         total = mpmath.quad(integrand, [-mpmath.pi, 0, mpmath.pi])
         return float(total / (2 * mpmath.pi * norm_sq))
+
+
+def bernstein_band(samples, variance, width, alpha=1e-6):
+    """Half-width that a mean of i.i.d. draws leaves with probability <= alpha.
+
+    Bernstein's inequality for draws within ``width`` of their mean
+    (Boucheron, Lugosi & Massart 2013, thm 2.10): it holds whatever the
+    draws' tails, by theorem, not by normality.
+    """
+    log_term = math.log(2.0 / alpha)
+    linear = width * log_term / 3.0
+    return (linear + math.sqrt(linear**2 + 2.0 * samples * variance * log_term)) / samples
+
+
+def _pooled(observed, expected, minimum=5.0):
+    """Sums of adjacent bins, pooled left to right until each expects ``minimum``."""
+    groups, observed_sum, expected_sum = [], 0, 0.0
+    for count, probability in zip(observed, expected):
+        observed_sum, expected_sum = observed_sum + count, expected_sum + probability
+        if expected_sum >= minimum:
+            groups.append([observed_sum, expected_sum])
+            observed_sum, expected_sum = 0, 0.0
+    groups[-1][0] += observed_sum
+    groups[-1][1] += expected_sum
+    return np.array(groups).T
+
+
+def g_test_p_value(counts, law) -> float:
+    """p-value of a G-test of histogram ``counts`` against bin probabilities ``law``.
+
+    Bins are pooled to >= 5 expected counts; G = 2 sum O log(O / E) is
+    chi-squared on (pooled bins - 1) degrees of freedom.
+    """
+    counts = np.asarray(counts)
+    observed, expected = _pooled(counts, counts.sum() * np.asarray(law))
+    nonzero = observed > 0
+    g = 2.0 * np.sum(observed[nonzero] * np.log(observed[nonzero] / expected[nonzero]))
+    return float(chi2.sf(g, observed.size - 1))

@@ -1,24 +1,44 @@
 import argparse
-import hashlib
+import difflib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclock import cli
+from qclock import canonical_cost, cli, cost_matrix
 from qclock.cost import CANONICAL_LABELS
 import qclock.measurement as measurement_module
 import qclock.sim as sim_module
-from qclock.sim import ScanRow
+from qclock.sim import DEFAULT_HISTOGRAM_BINS, ScanRow
 from qclock.solver import SignConventionError
+
+from oracles import (
+    bernstein_band,
+    cost_second_moment_mp,
+    dense_toeplitz,
+    energy_moments_mp,
+    g_test_p_value,
+    mutual_information_mp,
+    phase_mutual_information_mp,
+    posterior_mp,
+    product_amplitudes_mp,
+    rayleigh_quotient_mp,
+    sine_state_amplitudes_mp,
+    smallest_eigenpair_mp,
+    wrapped_error_bin_probabilities,
+    wrapped_error_moments,
+    wrapped_rms_series_mp,
+)
 
 
 def run_cli(capsys, argv):
@@ -431,75 +451,212 @@ def test_unwritable_gnuplot_path_exits_2(capsys, tmp_path):
     assert err.count("\n") == 1 and err.startswith("error: ") and str(script) in err
     assert "Traceback" not in err and not script.exists()
 
-# sha256 of stdout, recorded before the writer was shared by all subcommands. The
-# JSON digests of the abs state and of the scan were re-pinned when the
-# closed-form and LOBPCG eigensolvers moved their last printed digits, and the
-# scan's again when the mean cost and the RMS error moved to the shared
-# deficit steps; every moved value is now within 1 ulp of mpmath. The
-# simulate digests were re-pinned when the sampler drew the lattice error at
-# the offset in one spacing instead of the outcome at the true time. The
-# product-state posterior and the scan JSON were re-pinned when the product
-# amplitudes moved from log-binomials to running products; the posterior now
-# prints what correctly rounded amplitudes print, and the two scan values
-# that moved equal their mpmath references. The abs state JSON was re-pinned
-# when energy_stats moved to the centred variance: its energy_stddev went
-# 1.5366150769633369 -> 1.5366150769633373, and mpmath of the stored
-# amplitudes gives 1.53661507696333742. The product-state posterior was
-# re-pinned when posterior took its phases exp(i k t_j) from the integer
-# residues k j mod (N+1) instead of the float k t_j: 27 of its 30 JSON
-# densities and one CSV cell (the zero at T = pi, 5.04e-33 -> 6.93e-33) moved,
-# and its largest error against an mpmath sum over the stored amplitudes went
-# from 4.8e-16 to 2.7e-16 of the peak. The abs state JSON was re-pinned when
-# LOBPCG's transforms moved to 5-smooth circulant sizes: the two edge
-# amplitudes went 0.22043573157614457 -> 0.2204357315761446 (mpmath
-# 0.220435731576144543, 1.06 -> 2.06 ulp), mean_cost 0.31175147740864295 ->
-# 0.3117514774086429 (mpmath 0.311751477408642903, 0.88 -> 0.12 ulp) and
-# mean_energy 3.0000000000000004 -> 3.000000000000001 (exactly 3); the
-# largest amplitude error stayed 5.55e-17, and the CSV digest did not move.
-# The abs state JSON was re-pinned when LOBPCG moved to one matvec per step,
-# carrying F x and F step as combinations of images: the two edge amplitudes
-# went 0.2204357315761446 -> 0.22043573157614454 (2.06 -> 0.06 ulp from
-# mpmath), the two at m = 2, 4 went 0.44878512480305094 -> 0.4487851248030509
-# (mpmath 0.448785124803050877, 1.11 -> 0.11 ulp) and mean_energy
-# 3.000000000000001 -> 3.0 (exact); mean_cost and the CSV digest did not move.
-# The abs state JSON was re-pinned when LOBPCG stopped recomputing F x on a
-# schedule and took one true matvec at the start and one at the contract: the
-# two amplitudes at m = 1, 5 went 0.3680549053237306 -> 0.36805490532373053
-# (mpmath 0.3680549053237305251, 1.09 -> 0.09 ulp), so all seven now equal
-# their correctly rounded mpmath values; mean_cost, mean_energy,
-# energy_stddev and the CSV digest did not move.
+GOLDEN = Path(__file__).parent / "golden"
+# Each command's stdout under --format csv and json is the file
+# golden/<command>.<format>; a re-pin edits that file (see the README).
 GOLDEN_COMMANDS = [
-    (["state", "--kind", "optimal", "--cost", "abs", "--n", "6"],
-     "bc256ed713aef225f98ba787a4098f9586aebe94d7578a2c1c0673356dd7cdd5",
-     "ebb3b161e933a9e0f18bc902d11a5e3d09d7834307b0de2b28660bf66a2aea3b"),
-    (["posterior", "--kind", "product", "--n", "5", "--outcome", "2", "--grid", "30"],
-     "4bd51598b640eff2976e7df78552a7f4f61736792d877ed45c85f886859c778f",
-     "7cd775955f9fe72dba7d20b4b9519b05bc3d62887b77fca76854f0c51465cc8d"),
-    (["scan", "--kinds", "product,phase,optimal,max_spread", "--cost", "sin2",
-      "--n", "1:9:4"],
-     "ff8bcb291571147df40b4d6e9f41181732531d36332b0f6735c47f993884abc0",
-     "4c91778549cb45ca23de4e57f5a797ab6861227597698d339ec11228440b2bcb"),
-    (["simulate", "--kind", "optimal", "--cost", "sin2", "--n", "8",
-      "--samples", "500", "--seed", "7"],
-     "1248134a5633cd3e687b2f382f34feb3c5d535994096e5195bb6ae7fb7594bc6",
-     "6d62468de8b0cbb52e3abd456978159b3369ef4c06f7d0c3a9dde5c1f96b3ddb"),
-    (["mutinfo", "--kind", "phase", "--n", "7"],
-     "cd15ac4d0d52d5d4cc38a6ab8e06785a2a48713e8aa90777be9e2da83857adde",
-     "c7288d0cf910cd891c69cc7ce28d5cea256afd95631c9112d0cfcbb89d070073"),
+    ["state", "--kind", "optimal", "--cost", "abs", "--n", "6"],
+    ["posterior", "--kind", "product", "--n", "5", "--outcome", "2", "--grid", "30"],
+    ["scan", "--kinds", "product,phase,optimal,max_spread", "--cost", "sin2", "--n", "1:9:4"],
+    ["simulate", "--kind", "optimal", "--cost", "sin2", "--n", "8", "--samples", "500",
+     "--seed", "7"],
+    ["mutinfo", "--kind", "phase", "--n", "7"],
 ]
+GOLDEN_IDS = [argv[0] for argv in GOLDEN_COMMANDS]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize(
-    "argv, csv_sha256, json_sha256",
-    GOLDEN_COMMANDS,
-    ids=[argv[0] for argv, _, _ in GOLDEN_COMMANDS],
-)
-def test_cli_golden_outputs(capsys, argv, csv_sha256, json_sha256, fmt):
+@pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=GOLDEN_IDS)
+def test_cli_golden_outputs(capsys, argv, fmt):
     code, out, err = run_cli(capsys, argv + ["--format", fmt])
     assert (code, err) == (0, "")
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == (csv_sha256 if fmt == "csv" else json_sha256)
+    path = GOLDEN / f"{argv[0]}.{fmt}"
+    expected = path.read_bytes()
+    if out.encode() != expected:
+        diff = difflib.unified_diff(
+            expected.decode().splitlines(keepends=True), out.splitlines(keepends=True),
+            f"tests/golden/{path.name}", "stdout",
+        )
+        pytest.fail("stdout differs from the golden file:\n" + "".join(diff), pytrace=False)
+
+
+def golden_record(name):
+    return json.loads((GOLDEN / f"{name}.json").read_text())
+
+
+def csv_cell(value):
+    """A JSON value as its CSV cell: %.12g, %d, true/false, empty for null."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.12g" % value
+    if isinstance(value, int):
+        return "%d" % value
+    return "" if value is None else value
+
+
+def csv_fields(command, payload):
+    """The ``# name=value`` scalars and the columns a JSON payload prints as CSV."""
+    if command == "scan":
+        return {}, {name: [row[name] for row in payload] for name in payload[0]}
+    if command == "mutinfo":
+        return {}, {name: [value] for name, value in payload.items()}
+    scalars = dict(payload)
+    if command == "state":
+        amplitudes = scalars.pop("amplitudes")
+        return scalars, {"m": list(range(len(amplitudes))), "amplitude": amplitudes}
+    if command == "simulate":
+        histogram = scalars.pop("histogram")
+        edges = histogram["bin_edges"]
+        columns = {"bin_left": edges[:-1], "bin_right": edges[1:], "count": histogram["counts"]}
+        return scalars, columns
+    return scalars, {name: scalars.pop(name) for name in ("t", "offset", "density")}
+
+
+@pytest.mark.parametrize("name", GOLDEN_IDS)
+def test_golden_csv_cells_are_the_json_values_at_12_digits(name):
+    record = golden_record(name)
+    meta, header, rows = parse_csv((GOLDEN / f"{name}.csv").read_text())
+    scalars, columns = csv_fields(name, record["payload"])
+    echo = " ".join([name] + [f"{key}={value}" for key, value in record["args"].items()])
+    assert meta == {"schema_version": record["schema_version"], "command": echo,
+                    **{key: csv_cell(value) for key, value in scalars.items()}}
+    assert header == list(columns)
+    assert rows == [list(map(csv_cell, row)) for row in zip(*columns.values())]
+
+
+def test_golden_state_matches_the_mpmath_eigenpair():
+    # The abs optimum at N = 6. Amplitudes within one eps of the mpmath
+    # eigenvector, as test_optimum_is_within_one_eps_of_mpmath asks; the mean
+    # cost within 3 ulp of the mpmath Rayleigh quotient of the printed
+    # amplitudes, as test_rms_error_and_mean_cost_within_3_ulp_of_mpmath; the
+    # energy moments within 4 ulp of mpmath sums over them (test_states asks
+    # 4 ulp of the spread); the resolution bound exactly 1/N.
+    payload, n = golden_record("state")["payload"], 6
+    f = canonical_cost("abs", n)
+    _, vector, _ = smallest_eigenpair_mp(dense_toeplitz(cost_matrix(f, n).column))
+    amplitudes = np.array(payload["amplitudes"])
+    assert np.max(np.abs(amplitudes - vector)) <= np.finfo(float).eps
+    cost = rayleigh_quotient_mp(amplitudes, f.w0, f.coefficients)
+    assert abs(payload["mean_cost"] - cost) <= 3 * math.ulp(cost)
+    mean, spread = energy_moments_mp(amplitudes)
+    assert abs(payload["mean_energy"] - mean) <= 4 * math.ulp(mean)
+    assert abs(payload["energy_stddev"] - spread) <= 4 * math.ulp(spread)
+    assert payload["resolution_bound"] == 1 / n  # correctly rounded
+
+
+def scan_amplitudes(kind, n):
+    """Each scanned state from its closed form, not from ``state_for``."""
+    if kind == "product":
+        return product_amplitudes_mp(n)
+    if kind == "optimal":
+        return sine_state_amplitudes_mp(n)
+    levels = np.zeros(n + 1)
+    if kind == "phase":
+        levels[:] = 1.0
+    else:
+        levels[[0, n]] = 1.0
+    return levels / math.sqrt(levels.sum())  # entries 0 and 1: the sum is |levels|^2
+
+
+def test_golden_scan_rows_match_mpmath():
+    # Mean cost and RMS error within 3 ulp of mpmath, as
+    # test_rms_error_and_mean_cost_within_3_ulp_of_mpmath asks of the same
+    # rows; the information within 4 eps of an mpmath sum on the same
+    # G = 16 (N+1) nodes (test_mutual_information_matches_direct_double_sum
+    # asks 1e-12).
+    rows = golden_record("scan")["payload"]
+    kinds = ["product", "phase", "optimal", "max_spread"]
+    assert [(row["n"], row["kind"]) for row in rows] == [(n, k) for n in (1, 5, 9) for k in kinds]
+    for row in rows:
+        n = row["n"]
+        f = canonical_cost("sin2", n)
+        amplitudes = scan_amplitudes(row["kind"], n)
+        cost = rayleigh_quotient_mp(amplitudes, f.w0, f.coefficients)
+        assert abs(row["mean_cost"] - cost) <= 3 * math.ulp(cost)
+        delta_t = wrapped_rms_series_mp(amplitudes)
+        assert abs(row["delta_t"] - delta_t) <= 3 * math.ulp(delta_t)
+        information = mutual_information_mp(amplitudes, 16 * (n + 1))
+        assert abs(row["mutual_information_bits"] - information) <= 4 * np.finfo(float).eps
+        uniform = np.max(np.abs(amplitudes - 1.0 / math.sqrt(n + 1))) <= 1e-9
+        assert (row["matches_phase_state"], row["error"]) == (uniform, None)
+
+
+def test_golden_posterior_matches_an_mpmath_sum():
+    # The product state at N = 5, outcome 2, on 30 nodes: grid and offsets
+    # within 1e-15, as test_posterior_matches_direct_sum_off_lattice_grid
+    # asks of the grid; each density within 4 eps of the peak (that test
+    # asks 1e-12 of the peak); the outcome time within one ulp.
+    payload, n, outcome, grid_size = golden_record("posterior")["payload"], 5, 2, 30
+    t, offset, density = posterior_mp(product_amplitudes_mp(n), outcome, grid_size)
+    with mpmath.workdps(30):
+        outcome_time = float(2 * mpmath.pi * outcome / (n + 1))
+    assert abs(payload["outcome_time"] - outcome_time) <= math.ulp(outcome_time)
+    assert np.max(np.abs(np.array(payload["t"]) - t)) <= 1e-15
+    assert np.max(np.abs(np.array(payload["offset"]) - offset)) <= 1e-15
+    error = np.max(np.abs(np.array(payload["density"]) - density))
+    assert error <= 4 * np.finfo(float).eps * density.max()
+
+
+def test_golden_mutinfo_matches_the_phase_state_closed_form():
+    # The phase state at N = 7: bits and nats within 4 eps of the Fejer
+    # kernel's information on the same G = 16 (N+1) nodes, summed in mpmath;
+    # the Holevo bound log2(N+1) = 3 exactly.
+    payload, n = golden_record("mutinfo")["payload"], 7
+    bits = phase_mutual_information_mp(n, 16 * (n + 1))
+    assert abs(payload["bits"] - bits) <= 4 * np.finfo(float).eps
+    assert abs(payload["nats"] - bits * math.log(2.0)) <= 4 * np.finfo(float).eps
+    assert payload["holevo_bound_bits"] == 3.0
+
+
+def test_golden_simulate_lies_in_the_bands_of_the_exact_law():
+    # 500 draws of the sin2 optimum at N = 8, judged as tests/test_sim.py
+    # judges its golden runs: Bernstein bands at alpha = 1e-6 around the
+    # exact mean cost and E[T^2], and a G-test of the histogram against the
+    # exact bin law. The bin edges lie within 1e-15 of -pi + 2 pi i / 101.
+    # Each draw's error T lies in its bin, and f(T) = 2 - 2 cos T, f^2 and
+    # T^2 rise with |T|, so each sum over the draws lies between the sums of
+    # their least and largest values on each draw's bin: the printed mean
+    # cost, RMS error and standard error e (through sum f^2 =
+    # n (n - 1) e^2 + n mean^2) must lie there.
+    payload, n, samples = golden_record("simulate")["payload"], 8, 500
+    f = canonical_cost("sin2", n)
+    amplitudes = sine_state_amplitudes_mp(n)
+    mu = rayleigh_quotient_mp(amplitudes, f.w0, f.coefficients)
+    variance = cost_second_moment_mp(f.w0, f.coefficients, amplitudes) - mu**2
+    mean_cost = payload["empirical_mean_cost"]
+    assert abs(mean_cost - mu) <= bernstein_band(samples, variance, 2.0 * f.coefficients.sum())
+    second, fourth = wrapped_error_moments(amplitudes)
+    band = bernstein_band(samples, fourth - second**2, np.pi**2)
+    assert abs(payload["empirical_delta_t"] ** 2 - second) <= band
+    edges = np.array(payload["histogram"]["bin_edges"])
+    assert edges.size == DEFAULT_HISTOGRAM_BINS + 1
+    with mpmath.workdps(30):
+        exact = [float(mpmath.pi * (mpmath.mpf(2 * i) / (edges.size - 1) - 1))
+                 for i in range(edges.size)]
+    assert np.max(np.abs(edges - exact)) <= 1e-15
+    counts = np.array(payload["histogram"]["counts"])
+    assert counts.sum() == samples
+    assert g_test_p_value(counts, wrapped_error_bin_probabilities(amplitudes, edges)) >= 1e-6
+
+    def bin_sums(value):
+        ends = value(np.stack([edges[:-1], edges[1:]]))
+        least = np.where(edges[:-1] * edges[1:] < 0.0, value(0.0), ends.min(axis=0))
+        return counts @ least, counts @ ends.max(axis=0)
+
+    def cost(t):
+        return 2.0 - 2.0 * np.cos(t)
+
+    sums = {
+        "cost": samples * mean_cost,
+        "squared cost": samples * ((samples - 1) * payload["standard_error_cost"] ** 2
+                                   + mean_cost**2),
+        "squared error": samples * payload["empirical_delta_t"] ** 2,
+    }
+    for name, value in [("cost", cost), ("squared cost", lambda t: cost(t) ** 2),
+                        ("squared error", np.square)]:
+        least, largest = bin_sums(value)
+        assert least <= sums[name] <= largest, name
 
 
 JSON_SCALARS = st.one_of(
@@ -724,8 +881,7 @@ def test_main_leaves_the_import_heap_frozen_at_exit(statement, frozen):
     assert (count > 0) == frozen
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _, _ in GOLDEN_COMMANDS],
-                         ids=[argv[0] for argv, _, _ in GOLDEN_COMMANDS])
+@pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=GOLDEN_IDS)
 def test_module_entry_point_matches_main_under_dev_mode(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     result = run_child("-X", "dev", "-W", "error", "-m", "qclock.cli", *argv)

@@ -1,12 +1,10 @@
 import logging
-import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from scipy.stats import chi2
 from hypothesis import strategies as st
 
 from qclock import (
@@ -25,15 +23,17 @@ from qclock import (
     state_for,
 )
 from qclock import cli
-from qclock.cost import CANONICAL_LABELS
+from qclock.cost import CANONICAL_LABELS, _smooth_size
 from qclock.measurement import _cost_on_grid, _kernel_on_grid, measurement_times
 from qclock.sim import DEFAULT_HISTOGRAM_BINS
 from qclock.solver import SolverConvergenceError
 import qclock.sim as sim_module
 
 from oracles import (
+    bernstein_band,
     cost_at_outcome_mp,
     cost_second_moment_mp,
+    g_test_p_value,
     random_clock_amplitudes,
     wrapped_error_bin_probabilities,
     wrapped_error_bin_probabilities_mp,
@@ -215,18 +215,6 @@ def test_sin2_squared_cost_column():
     assert column.tolist() == [6.0, -4.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 
 
-def _bernstein_band(samples, variance, width, alpha=1e-6):
-    """Half-width that a mean of i.i.d. draws leaves with probability <= alpha.
-
-    Bernstein's inequality for draws within ``width`` of their mean
-    (Boucheron, Lugosi & Massart 2013, thm 2.10): it holds whatever the
-    draws' tails, by theorem, not by normality.
-    """
-    log_term = math.log(2.0 / alpha)
-    linear = width * log_term / 3.0
-    return (linear + math.sqrt(linear**2 + 2.0 * samples * variance * log_term)) / samples
-
-
 @pytest.mark.parametrize("config", [config for config, _, _ in GOLDEN_RUNS])
 def test_golden_means_lie_in_the_bernstein_band(config):
     # Costs lie within 2 sum_k w_k of their mean. For sin2 the band is
@@ -234,7 +222,7 @@ def test_golden_means_lie_in_the_bernstein_band(config):
     kind, n_ions, label, samples, _ = config
     f = canonical_cost(label, n_ions)
     mean, second = _exact_cost_moments(state_for(kind, n_ions, label), f)
-    band = _bernstein_band(samples, second - mean**2, 2.0 * f.coefficients.sum())
+    band = bernstein_band(samples, second - mean**2, 2.0 * f.coefficients.sum())
     result = run_simulation(SimConfig(*config))
     assert abs(result.empirical_mean_cost - mean) <= band
 
@@ -265,37 +253,21 @@ def test_golden_delta_t_lies_in_the_bernstein_band(config):
     # 4.8e-3, 4.8e-3, 0.23, 0.17 and 0.079.
     kind, n_ions, label, samples, _ = config
     second, fourth = wrapped_error_moments(state_for(kind, n_ions, label).amplitudes)
-    band = _bernstein_band(samples, fourth - second**2, np.pi**2)
+    band = bernstein_band(samples, fourth - second**2, np.pi**2)
     result = run_simulation(SimConfig(*config))
     assert abs(result.empirical_delta_t**2 - second) <= band
-
-
-def _pooled(observed, expected, minimum=5.0):
-    """Sums of adjacent bins, pooled left to right until each expects ``minimum``."""
-    groups, observed_sum, expected_sum = [], 0, 0.0
-    for count, probability in zip(observed, expected):
-        observed_sum, expected_sum = observed_sum + count, expected_sum + probability
-        if expected_sum >= minimum:
-            groups.append([observed_sum, expected_sum])
-            observed_sum, expected_sum = 0, 0.0
-    groups[-1][0] += observed_sum
-    groups[-1][1] += expected_sum
-    return np.array(groups).T
 
 
 @pytest.mark.parametrize("config", [config for config, _, _ in GOLDEN_RUNS])
 def test_golden_histograms_pass_a_g_test_against_the_exact_law(config):
     # Bins pooled to >= 5 expected counts; the pins read p = 0.37, 0.48,
     # 0.87, 0.74 and 0.23 on 2, 8, 100, 86 and 44 degrees of freedom.
-    kind, n_ions, label, samples, _ = config
+    kind, n_ions, label, _, _ = config
     result = run_simulation(SimConfig(*config))
     law = wrapped_error_bin_probabilities(
         state_for(kind, n_ions, label).amplitudes, result.bin_edges
     )
-    observed, expected = _pooled(result.histogram, samples * law)
-    nonzero = observed > 0
-    g = 2.0 * np.sum(observed[nonzero] * np.log(observed[nonzero] / expected[nonzero]))
-    assert chi2.sf(g, observed.size - 1) >= 1e-6
+    assert g_test_p_value(result.histogram, law) >= 1e-6
 
 
 @pytest.mark.parametrize("kind, n_ions", [("optimal", 300), ("max_spread", 33), ("phase", 1),
@@ -370,9 +342,12 @@ def test_sampler_costs_match_mpmath_series(config):
 def test_cost_table_matches_mpmath_series(label):
     # The sampler's table: rows next to zero error, where w0 - sum_k w_k
     # cos(k x) cancels, and far from it, where the factored form would lose
-    # ~eps K^2 (neg_delta). Then the mean_cost_direct grid, shift 0 and
-    # G = 8 (N + K), whose nodes g = 1, 2 next to zero error keep their
-    # relative digits (the first form alone left sin2 4e-12 off there).
+    # ~eps K^2 (neg_delta). Then two grids at shift 0: G = 8 (N + K), whose
+    # nodes g = 1, 2 next to zero error keep their relative digits (the
+    # first form alone left sin2 4e-12 off there), and the grid that
+    # mean_cost_direct reads, _smooth_size(N + K + 1): 625 nodes for abs,
+    # abs_sin_half and neg_delta, 320 for sin2, all within 0.64 eps * scale.
+    # Its g = 1, 2 are not checked relative: neg_delta reads 4.2 eps there.
     n_ions = 300
     f = canonical_cost(label, n_ions)
     scale = abs(f.w0) + f.coefficients.sum()
@@ -385,13 +360,13 @@ def test_cost_table_matches_mpmath_series(label):
         for m in rows
     ])
     assert np.max(np.abs(table - reference)) <= 4.0 * eps * scale
-    grid_size = 8 * (n_ions + f.order)
-    nodes = [0, 1, 2, grid_size // 3, grid_size // 2, grid_size - 1]
-    costs = _cost_on_grid(f, grid_size)[nodes]
-    reference = np.array([
-        cost_at_outcome_mp(f.w0, f.coefficients, g, grid_size, 0.0) for g in nodes
-    ])
-    assert np.max(np.abs(costs - reference)) <= 4.0 * eps * scale
+    for grid_size in (_smooth_size(n_ions + 1 + f.order), 8 * (n_ions + f.order)):
+        nodes = [0, 1, 2, grid_size // 3, grid_size // 2, grid_size - 1]
+        costs = _cost_on_grid(f, grid_size)[nodes]
+        reference = np.array([
+            cost_at_outcome_mp(f.w0, f.coefficients, g, grid_size, 0.0) for g in nodes
+        ])
+        assert np.max(np.abs(costs - reference)) <= 4.0 * eps * scale
     assert np.all(np.abs(costs[1:3] - reference[1:3]) <= 4.0 * eps * np.abs(reference[1:3]))
 
 

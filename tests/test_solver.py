@@ -25,6 +25,7 @@ from qclock import cli
 from qclock import solver as solver_module
 
 from oracles import (
+    dense_toeplitz,
     is_five_smooth,
     rayleigh_quotient_mp,
     smallest_eigenpair_mp,
@@ -110,17 +111,17 @@ def test_residual_contract_reported():
         matrix = cost_matrix(SIN2, n)
         pair = smallest_eigenpair(matrix)
         recomputed = np.linalg.norm(
-            matrix.entries @ pair.eigenvector - pair.eigenvalue * pair.eigenvector
+            dense_toeplitz(matrix.column) @ pair.eigenvector - pair.eigenvalue * pair.eigenvector
         )
         assert abs(pair.residual_norm - recomputed) <= 1e-15
-        assert pair.residual_norm <= 1e-10 * np.linalg.norm(matrix.entries, np.inf)
+        assert pair.residual_norm <= 1e-10 * np.linalg.norm(dense_toeplitz(matrix.column), np.inf)
 
 
 def test_lobpcg_path_agrees_with_dense():
     f = CostFunction(3.0, np.array([1.0, 0.5, 0.25]))
     matrix = cost_matrix(f, 40)  # bandwidth 3 takes the LOBPCG path
     pair = smallest_eigenpair(matrix)
-    dense_values = np.linalg.eigvalsh(matrix.entries)
+    dense_values = np.linalg.eigvalsh(dense_toeplitz(matrix.column))
     assert abs(pair.eigenvalue - dense_values[0]) <= 1e-10
 
 
@@ -130,7 +131,7 @@ def test_lobpcg_lag_two_cost_agrees_with_dense(n):
     # size dim = 3 would drop it, and the padded one of size 4 keeps it.
     matrix = cost_matrix(CostFunction(1.0, np.array([0.0, 1.0])), n)
     pair = smallest_eigenpair(matrix)
-    assert abs(pair.eigenvalue - np.linalg.eigvalsh(matrix.entries)[0]) <= 1e-14
+    assert abs(pair.eigenvalue - np.linalg.eigvalsh(dense_toeplitz(matrix.column))[0]) <= 1e-14
 
 
 @settings(max_examples=200, deadline=None)
@@ -144,7 +145,8 @@ def test_random_column_is_solved_or_refused(dim, seed):
     except SolverConvergenceError:
         return
     scale = solver_module._inf_norm(matrix.column)
-    assert abs(pair.eigenvalue - np.linalg.eigvalsh(matrix.entries)[0]) <= 1e-12 * scale
+    dense_value = np.linalg.eigvalsh(dense_toeplitz(matrix.column))[0]
+    assert abs(pair.eigenvalue - dense_value) <= 1e-12 * scale
     assert pair.residual_norm <= solver_module.RESIDUAL_RTOL * scale
     vector = pair.eigenvector
     assert np.array_equal(vector, vector[::-1]) or np.array_equal(vector, -vector[::-1])
@@ -162,7 +164,7 @@ def test_eigenvalue_matches_inertia_bisection_oracle():
             matrices.append(CostMatrix(rng.standard_normal(dim)))
         for matrix in matrices:
             pair = smallest_eigenpair(matrix)
-            oracle = smallest_eigenvalue_bisection(matrix.entries)
+            oracle = smallest_eigenvalue_bisection(dense_toeplitz(matrix.column))
             assert abs(pair.eigenvalue - oracle) <= 1e-9
 
 
@@ -173,7 +175,7 @@ def test_lanczos_eigenvalue_matches_dense(label, n):
     matrix = cost_matrix(canonical_cost(label, n), n)
     assert matrix.bandwidth >= 2
     pair = smallest_eigenpair(matrix)
-    dense = np.linalg.eigvalsh(matrix.entries)[0]
+    dense = np.linalg.eigvalsh(dense_toeplitz(matrix.column))[0]
     assert abs(pair.eigenvalue - dense) <= 1e-12 * abs(dense)
 
 
@@ -317,7 +319,7 @@ def test_tridiagonal_positive_coupling_gives_alternating_vector(monkeypatch):
     m = np.arange(n + 1)
     expected = sign_fixed((-1.0) ** m * exact_sin2_eigenvector(n))
     np.testing.assert_allclose(pair.eigenvector, expected, rtol=0, atol=1e-15)
-    assert abs(pair.eigenvalue - np.linalg.eigvalsh(matrix.entries)[0]) <= 1e-15
+    assert abs(pair.eigenvalue - np.linalg.eigvalsh(dense_toeplitz(matrix.column))[0]) <= 1e-15
     # No CostFunction has c1 > 0, so feed the matrix to optimal_state directly.
     monkeypatch.setattr(solver_module, "cost_matrix", lambda f, n_ions: matrix)
     with pytest.raises(SignConventionError):
@@ -341,7 +343,7 @@ def test_sin2_eigenvalue_large_n_matches_mpmath():
 @pytest.mark.parametrize("n", [6, 40, 120])
 def test_abs_optimum_matches_mpmath_eigenvector(n):
     matrix = cost_matrix(canonical_cost("abs", n), n)
-    value, vector, residual = smallest_eigenpair_mp(matrix.entries)
+    value, vector, residual = smallest_eigenpair_mp(dense_toeplitz(matrix.column))
     assert residual <= 1e-30
     pair = smallest_eigenpair(matrix)
     assert np.max(np.abs(pair.eigenvector - vector)) <= 1e-14
@@ -354,7 +356,7 @@ def test_abs_optimum_matches_mpmath_eigenvector(n):
 def test_optimum_at_prime_dimension_matches_mpmath_eigenvector(label, n):
     # N + 1 = 101 and 131 are prime, so both circulants are zero-padded.
     matrix = cost_matrix(canonical_cost(label, n), n)
-    value, vector, residual = smallest_eigenpair_mp(matrix.entries)
+    value, vector, residual = smallest_eigenpair_mp(dense_toeplitz(matrix.column))
     assert residual <= 1e-30
     pair = smallest_eigenpair(matrix)
     assert np.max(np.abs(pair.eigenvector - vector)) <= 1e-14
@@ -370,8 +372,9 @@ def test_eigenvalue_at_prime_dimension_1009_matches_dense(label):
     # LAPACK's eigenvalue itself can be 2.6e-12 relative off (abs, one BLAS
     # thread). The long-double Rayleigh quotient of its eigenvector is not:
     # its error is quadratic in the vector's.
-    vector = np.linalg.eigh(matrix.entries)[1][:, 0].astype(np.longdouble)
-    reference = float(vector @ (matrix.entries.astype(np.longdouble) @ vector) / (vector @ vector))
+    dense = dense_toeplitz(matrix.column)
+    vector = np.linalg.eigh(dense)[1][:, 0].astype(np.longdouble)
+    reference = float(vector @ (dense.astype(np.longdouble) @ vector) / (vector @ vector))
     assert abs(pair.eigenvalue - reference) <= 1e-12 * abs(reference)
 
 
@@ -379,13 +382,13 @@ def test_eigenvalue_at_prime_dimension_1009_matches_dense(label):
 @pytest.mark.parametrize("label", ["abs", "abs_sin_half", "neg_delta"])
 def test_optimum_is_within_one_eps_of_mpmath(label, n):
     matrix = cost_matrix(canonical_cost(label, n), n)
-    _, vector, _ = smallest_eigenpair_mp(matrix.entries)
+    _, vector, _ = smallest_eigenpair_mp(dense_toeplitz(matrix.column))
     pair = smallest_eigenpair(matrix)
     assert np.max(np.abs(pair.eigenvector - vector)) <= np.finfo(float).eps
 
 
 def test_mpmath_eigenpair_oracle_agrees_with_eigsy():
-    entries = cost_matrix(canonical_cost("abs", 6), 6).entries
+    entries = dense_toeplitz(cost_matrix(canonical_cost("abs", 6), 6).column)
     value, vector, _ = smallest_eigenpair_mp(entries)
     with mpmath.workdps(40):
         values, vectors = mpmath.eigsy(mpmath.matrix(entries.tolist()))
@@ -417,7 +420,7 @@ def test_skew_symmetric_optimum_is_found(n):
     assert abs(flipped_pair.eigenvalue - pair.eigenvalue) <= 1e-12 * pair.eigenvalue
     expected = sign_fixed((-1.0) ** np.arange(n + 1) * pair.eigenvector)
     assert np.max(np.abs(flipped_pair.eigenvector - expected)) <= 1e-12
-    scale = np.linalg.norm(flipped.entries, np.inf)
+    scale = np.linalg.norm(dense_toeplitz(flipped.column), np.inf)
     assert flipped_pair.residual_norm <= solver_module.RESIDUAL_RTOL * scale
 
 
@@ -428,7 +431,7 @@ def test_variational_property():
     for _ in range(100):
         u = rng.standard_normal(21)
         u /= np.linalg.norm(u)
-        assert float(u @ matrix.entries @ u) >= pair.eigenvalue - 1e-10
+        assert float(u @ dense_toeplitz(matrix.column) @ u) >= pair.eigenvalue - 1e-10
 
 
 @pytest.mark.parametrize("n,threshold", [(20, 0.9985), (21, 0.999), (50, 0.999), (200, 0.999)])

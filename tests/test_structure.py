@@ -16,6 +16,8 @@ the form of a cost that does not cancel, for ``cost.evaluate_cost`` and
 thread: no module imports a thread or process pool. The one ``qclock``
 logger is made at the top of ``states.py``, and only ``states._record``
 writes on it, one DEBUG record in one ``layer: name=value ...`` format.
+The solver takes every vector norm with ``solver._norm``: no module calls
+``np.linalg.norm``.
 """
 
 import ast
@@ -185,3 +187,22 @@ def test_no_module_imports_threads_or_processes():
         if module.split(".")[0] in banned
     }
     assert imports == set()
+
+
+def _is_linalg_norm(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "norm"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "linalg"
+    )
+
+
+def test_no_module_calls_np_linalg_norm():
+    sites = [
+        (path.name, node.lineno)
+        for path in SOURCES
+        for node, _ in _enclosing_functions(ast.parse(path.read_text()))
+        if _is_linalg_norm(node)
+    ]
+    assert sites == []
