@@ -33,11 +33,8 @@ import numpy as np
 
 from .cost import CANONICAL_LABELS, canonical_cost, mean_cost_bound
 from .measurement import (
-    _posterior_grid_minimum,
-    measurement_times,
-    mutual_information_bits,
+    TWO_PI, _grid_offsets, _posterior_grid_minimum, measurement_times, mutual_information_bits,
     posterior,
-    wrap_angle,
 )
 from .sim import (
     KINDS,
@@ -205,11 +202,13 @@ def cmd_posterior(args):
         raise UsageError(f"--outcome must be in 0..{args.n}")
     state = state_for(args.kind, args.n, args.cost)
     post = posterior(state, args.outcome, args.grid)
-    t_r = measurement_times(args.n)[args.outcome]
     payload = {
-        "outcome_time": t_r,
+        "outcome_time": measurement_times(args.n)[args.outcome],
         "t": post.grid.tolist(),
-        "offset": wrap_angle(post.grid - t_r).tolist(),
+        # 2 pi nu / (G (N+1)) from the exact integers nu, so a node at the
+        # outcome time prints 0, which the difference of rounded times need not
+        "offset": (TWO_PI * _grid_offsets(args.n, args.outcome, args.grid)
+                   / (args.grid * (args.n + 1))).tolist(),
         "density": post.density.tolist(),
     }
     columns = {name: payload[name] for name in ("t", "offset", "density")}

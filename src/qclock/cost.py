@@ -21,6 +21,7 @@ from .states import (
     ClockState,
     _check_n_ions,
     _compensated_cumsum,
+    _dot,
     _freeze,
     _is_integer,
     _root_binomial_weights,
@@ -127,9 +128,9 @@ class CostMatrix:
                 out[1:] += self.column[1] * x[:-1]
                 out[:-1] += self.column[1] * x[1:]
             return out
-        spectrum = self._circulant_spectrum
-        size = 2 * (spectrum.size - 1)
-        return np.fft.irfft(spectrum * np.fft.rfft(x, size), size)[: self.dim]
+        transform = np.fft.rfft(x, 2 * (self._circulant_spectrum.size - 1))
+        transform *= self._circulant_spectrum
+        return np.fft.irfft(transform)[: self.dim]  # irfft's default length is 2M
 
     def quadratic_form(self, amplitudes: np.ndarray) -> float:
         """a^T F a = s r_0 - 2 sum_k c_k (r_0 - r_k), s = c_0 + 2 sum_k c_k.
@@ -149,7 +150,7 @@ class CostMatrix:
             lag_one = 0.5 * _sum_of_squares(np.diff(a, prepend=0.0, append=0.0))
             coupled = float(lags.sum()) * lag_one
         else:
-            coupled = float(column[1:] @ _deficits(a))
+            coupled = _dot(column[1:], _deficits(a))
         return s * _sum_of_squares(a) - 2.0 * coupled
 
 
@@ -286,7 +287,7 @@ def _cost_forms(f: CostFunction, x: np.ndarray, cosine_sum) -> np.ndarray:
     e[1:] *= 2.0
     versine = 2.0 * np.sin(0.5 * x) ** 2
     near = math.fsum([f.w0, *-w]) + versine * cosine_sum(e)
-    curvature = float(np.arange(1.0, w.size + 1.0) ** 2 @ w)
+    curvature = _dot(np.arange(1.0, w.size + 1.0) ** 2, w)
     return np.where(versine * curvature < w.sum(), near, direct)
 
 
@@ -332,4 +333,4 @@ def product_cost_closed_form(n_ions: int) -> float:
     ratio = np.sqrt((n_ions - i) / (i + 1.0))
     root_p = _root_binomial_weights(n_ions)
     steps = root_p[:-1] * (2.0 * i + 1.0 - n_ions) / ((i + 1.0) * (1.0 + ratio))
-    return float(steps @ steps + math.ldexp(2.0, -n_ions))  # + p_0 + p_N
+    return _dot(steps, steps) + math.ldexp(2.0, -n_ions)  # + p_0 + p_N

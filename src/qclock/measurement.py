@@ -33,7 +33,7 @@ import numpy as np
 from .cost import (
     CostFunction, _cost_forms, _deficit_steps, _smooth_size, _sum_of_squares, mean_cost_bound,
 )
-from .states import ClockState, _check_n_ions, _freeze, _is_integer
+from .states import ClockState, _check_n_ions, _dot, _freeze, _is_integer
 
 TWO_PI = 2.0 * np.pi
 _BOOLE_START = 64
@@ -302,7 +302,7 @@ def mean_cost_direct(state: ClockState, f: CostFunction) -> float:
     """
     grid_size = _smooth_size(state.dim + f.order)
     kernel = _kernel_on_grid(state.amplitudes, grid_size)
-    return float(state.dim * (kernel @ _cost_on_grid(f, grid_size)) / grid_size)
+    return state.dim * _dot(kernel, _cost_on_grid(f, grid_size)) / grid_size
 
 
 def circular_rms_error(state: ClockState) -> float:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostFunction, CostMatrix, _circulant_eigenvalues, _smooth_size, cost_matrix
-from .states import ClockState, _freeze, _record
+from .states import ClockState, _dot, _freeze, _record
 
 RESIDUAL_RTOL = 1e-10
 SIGN_TOL = 1e-10
@@ -134,27 +134,27 @@ def _strang_preconditioner(column: np.ndarray):
 
 
 def _norm(v: np.ndarray) -> float:
-    # np.linalg.norm's own formula for a real vector, without its overhead,
-    # which LOBPCG pays ~9 times a step.
-    return math.sqrt(v @ v)
+    return math.sqrt(_dot(v, v))
 
 
-def _orthonormal(pairs: list[tuple[np.ndarray, np.ndarray | None]], matvec):
-    """Gram-Schmidt on (v, F v) pairs, applied twice, dropping numerically
-    dependent vectors; each image takes the coefficients of its vector.
+def _orthonormal(x: np.ndarray, fx: np.ndarray, pairs: list, matvec):
+    """Orthonormal basis of (v, F v) pairs: the unit x and its image F x as
+    they are, without their norms, then each given pair by Gram-Schmidt,
+    applied twice, dropping numerically dependent vectors; each image takes
+    the coefficients of its vector.
 
     A pair given as (v, None) takes ``matvec`` of its orthonormalized v
-    instead. The given arrays become the basis, updated in place through
-    one scratch buffer: at large N a fresh temporary costs more than the
-    arithmetic.
+    instead. The given pairs' arrays become the basis, updated in place
+    through one scratch buffer: at large N a fresh temporary costs more
+    than the arithmetic.
     """
-    basis: list[tuple[np.ndarray, np.ndarray]] = []
-    scratch = np.empty(pairs[0][0].size)
+    basis = [(x, fx)]
+    scratch = np.empty(x.size)
     for v, fv in pairs:
         size = _norm(v)
         for _ in range(2):
             for q, fq in basis:
-                coefficient = q @ v
+                coefficient = _dot(q, v)
                 v -= np.multiply(coefficient, q, out=scratch)
                 if fv is not None:
                     fv -= np.multiply(coefficient, fq, out=scratch)
@@ -170,29 +170,35 @@ def _orthonormal(pairs: list[tuple[np.ndarray, np.ndarray | None]], matvec):
 
 
 def _residual(x: np.ndarray, fx: np.ndarray):
-    """(F x - (x.F x) x, its norm) for a unit x and its image F x."""
-    gradient = fx - float(x @ fx) * x
-    return gradient, _norm(gradient)
+    """(x.F x, F x - (x.F x) x, its norm) for a unit x and its image F x."""
+    rayleigh = _dot(x, fx)
+    gradient = fx - rayleigh * x
+    return rayleigh, gradient, _norm(gradient)
 
 
-def _rayleigh_ritz(basis: list[tuple[np.ndarray, np.ndarray]]):
+def _rayleigh_ritz(basis: list[tuple[np.ndarray, np.ndarray]], rayleigh: float):
     """(x, F x, step, F step) of the lowest Ritz vector over an orthonormal
     basis of (v, F v) pairs, step being its part outside the first vector.
 
-    The Gram matrix is taken from dot products, and each image is the same
-    combination of the basis images as its vector of the basis vectors.
-    The combinations overwrite the basis. They are elementwise sums, not a
+    The symmetric Gram matrix takes q_i.F q_j for i <= j, five dot products
+    for three pairs, and the given x.F x of the first vector. Each image is
+    the same combination of the basis images as its vector of the basis
+    vectors. The combinations overwrite the basis but for its first vector,
+    which may be the best one so far. They are elementwise sums, not a
     matrix product, which round mirrored entries alike, so x and the step
     stay exactly in their class.
     """
-    gram = np.array([[q @ fv for _, fv in basis] for q, _ in basis])
-    weights = np.linalg.eigh(0.5 * (gram + gram.T))[1][:, 0]
+    gram = np.full((len(basis), len(basis)), rayleigh)
+    for i, (q, _) in enumerate(basis):
+        for j in range(max(i, 1), len(basis)):
+            gram[i, j] = gram[j, i] = _dot(q, basis[j][1])
+    weights = np.linalg.eigh(gram)[1][:, 0]
     (x, fx), *rest = basis
     step, f_step = np.zeros(x.size), np.zeros(x.size)
     for weight, (v, fv) in zip(weights[1:], rest):
         step += np.multiply(weight, v, out=v)
         f_step += np.multiply(weight, fv, out=fv)
-    x *= weights[0]
+    x = np.multiply(weights[0], x)
     x += step
     fx *= weights[0]
     fx += f_step
@@ -212,10 +218,11 @@ def _lobpcg(matvec, precondition, parity: float, start: np.ndarray, tolerance: f
     same cancellation would lose the digits a true matvec keeps. F x is a
     true matvec at the start and again the first time the carried residual
     is within ``tolerance``; the steps after that, which only polish x to
-    roundoff, carry it. Returns the x with the smallest residual, the
-    number of steps taken and that residual: once the residual is at most
-    ``tolerance`` and has stagnated, or with ``_MAX_ITERATIONS`` steps when
-    that does not happen.
+    roundoff, carry it. A step takes 18 dot products of length N: 3 for x's
+    norm and residual, 10 in ``_orthonormal`` and 5 in ``_rayleigh_ritz``.
+    Returns the x with the smallest residual, the number of steps taken and
+    that residual: once the residual is at most ``tolerance`` and has
+    stagnated, or with ``_MAX_ITERATIONS`` steps when that does not happen.
     """
     def project(v):
         return 0.5 * (v + parity * v[::-1])
@@ -229,19 +236,18 @@ def _lobpcg(matvec, precondition, parity: float, start: np.ndarray, tolerance: f
         norm = _norm(x)
         x /= norm
         fx /= norm
-        gradient, residual = _residual(x, fx)
+        rayleigh, gradient, residual = _residual(x, fx)
         if residual <= tolerance < best_residual:
             fx = matvec(x)  # re-anchor the carried image at the contract
-            gradient, residual = _residual(x, fx)
+            rayleigh, gradient, residual = _residual(x, fx)
         stalls = 0 if residual < 0.5 * best_residual else stalls + 1
         if residual < best_residual:
             best_residual, best = residual, x
         if residual == 0.0 or (best_residual <= tolerance and stalls >= _STALL_STEPS):
             return best, steps, best_residual
-        # The basis overwrites its arrays, and x may be the best vector.
         x, fx, step, f_step = _rayleigh_ritz(_orthonormal(
-            [(x.copy(), fx)] + previous + [(project(precondition(gradient)), None)], matvec
-        ))
+            x, fx, previous + [(project(precondition(gradient)), None)], matvec
+        ), rayleigh)
         previous = [(step, f_step)]
     return best, _MAX_ITERATIONS, best_residual
 
@@ -320,7 +326,7 @@ def smallest_eigenpair(matrix: CostMatrix) -> EigenPair:
     """
     scale = _inf_norm(matrix.column) or 1.0
     eigenvalue, vector, fields = _solve_smallest(matrix, scale)
-    vector = vector / math.sqrt(np.square(vector).sum())
+    vector = vector / _norm(vector)
     if vector[np.argmax(np.abs(vector))] < 0.0:
         vector = -vector
     residual = _norm(matrix.matvec(vector) - eigenvalue * vector)
@@ -351,5 +357,5 @@ def optimal_state(f: CostFunction, n_ions: int) -> ClockState:
             "define a valid amplitude vector under the nonnegativity convention"
         )
     amplitudes = np.maximum(amplitudes, 0.0)
-    amplitudes = amplitudes / math.sqrt(np.square(amplitudes).sum())
+    amplitudes = amplitudes / _norm(amplitudes)
     return ClockState(n_ions, amplitudes)

@@ -53,8 +53,7 @@ class ClockState:
             raise ValueError("amplitudes must be finite")
         if np.any(amps < 0.0):
             raise ValueError("amplitudes must be nonnegative (fixed phase convention)")
-        # Pairwise summation: a BLAS dot errs by ~N eps on near-equal entries.
-        norm_sq = float(np.square(amps).sum())
+        norm_sq = _dot(amps, amps)
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"amplitudes not normalized: sum of squares = {norm_sq}")
 
@@ -102,6 +101,19 @@ def _check_n_ions(n_ions: int) -> None:
         raise ValueError(f"n_ions must be a positive integer, got {n_ions!r}")
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y as the pairwise sum of the rounded products x_i y_i.
+
+    Every dot product and norm of the library is this one sum; only
+    ``cost._sum_of_squares`` compensates, where the quadratic form needs it.
+    Pairwise summation errs by O(eps log N) where a recursive sum errs by
+    O(eps N) (Higham, SIAM J. Sci. Comput. 14, 783 (1993)), and it calls no
+    BLAS, whose dot splits its sum by the thread count: the bits do not
+    depend on that count.
+    """
+    return float(np.multiply(x, y).sum())
+
+
 def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
     """Prefix sums of x with each step's exact rounding error (TwoSum) added back."""
     total = np.cumsum(x)
@@ -123,7 +135,7 @@ def _root_binomial_weights(n: int) -> np.ndarray:
     i = np.arange((n + 1) // 2, n, dtype=float)
     upper = np.cumprod(np.concatenate(([1.0], np.sqrt((n - i) / (i + 1.0)))))
     weights = np.concatenate((upper[::-1], upper[1 - n % 2 :]))
-    return weights * np.sqrt(1.0 / np.square(weights).sum())
+    return weights * math.sqrt(1.0 / _dot(weights, weights))
 
 
 def product_state(n_ions: int) -> ClockState:
@@ -173,12 +185,13 @@ def energy_stats(state: ClockState) -> EnergyStats:
     """Mean energy, energy spread, and the time-resolution bound 1/N.
 
     With E_m = m the mean is sum_m m a_m^2 and the spread is
-    sqrt(sum_m (m - mean)^2 a_m^2), summed with compensation. The centred
-    form does not cancel (E[m^2] - mean^2 is ~eps N^2 off), and an energy
-    eigenstate reports an exact zero spread.
+    sqrt(sum_m (m - mean)^2 a_m^2), both summed with compensation, so the
+    mean is within an ulp of the exact sum of its rounded terms. The
+    centred form does not cancel (E[m^2] - mean^2 is ~eps N^2 off), and an
+    energy eigenstate reports an exact zero spread.
     """
     weights = state.amplitudes**2
     m = np.arange(state.dim, dtype=float)
-    mean = float(m @ weights)
+    mean = float(_compensated_cumsum(m * weights)[-1])
     variance = float(_compensated_cumsum((m - mean) ** 2 * weights)[-1])
     return EnergyStats(mean, math.sqrt(variance), 1.0 / int(state.n_ions))

@@ -16,8 +16,10 @@ the form of a cost that does not cancel, for ``cost.evaluate_cost`` and
 thread: no module imports a thread or process pool. The one ``qclock``
 logger is made at the top of ``states.py``, and only ``states._record``
 writes on it, one DEBUG record in one ``layer: name=value ...`` format.
-The solver takes every vector norm with ``solver._norm``: no module calls
-``np.linalg.norm``.
+Every dot product and norm is the pairwise sum of ``states._dot``: no
+module calls ``np.linalg.norm`` or a BLAS product (``@``, ``dot``,
+``inner``, ``vdot``, ``vecdot``, ``matmul``), whose order of summation,
+and so whose bits, follow the BLAS thread count.
 """
 
 import ast
@@ -198,11 +200,26 @@ def _is_linalg_norm(node):
     )
 
 
+def _is_blas_product(node):
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if isinstance(node, ast.Attribute) and node.attr == "dot":
+        return True  # np.dot and the array method alike
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("inner", "vdot", "vecdot", "matmul")
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    )
+
+
 def test_no_module_calls_np_linalg_norm():
-    sites = [
-        (path.name, node.lineno)
-        for path in SOURCES
-        for node, _ in _enclosing_functions(ast.parse(path.read_text()))
-        if _is_linalg_norm(node)
-    ]
+    sites, dots = [], []
+    for path in SOURCES:
+        for node, _ in _enclosing_functions(ast.parse(path.read_text())):
+            if _is_linalg_norm(node) or _is_blas_product(node):
+                sites.append((path.name, node.lineno))
+            if isinstance(node, ast.FunctionDef) and node.name == "_dot":
+                dots.append(path.name)
     assert sites == []
+    assert dots == ["states.py"]
