@@ -1,7 +1,7 @@
 """Command-line front-end emitting versioned CSV/JSON tables.
 
 Each subcommand is declared once, in the table ``_COMMANDS``, and the
-parser adds options only to the subcommand that ``argv[0]`` names. Its
+parser builds only the subcommand that ``argv[0]`` names. Its
 handler builds the result once, as a JSON payload and the named columns of
 its CSV table, and one writer, ``_emit``, prints it in the chosen
 ``--format`` after the ``# command=`` echo of the declared options.
@@ -33,8 +33,7 @@ import numpy as np
 
 from .cost import CANONICAL_LABELS, canonical_cost, mean_cost_bound
 from .measurement import (
-    TWO_PI, _grid_offsets, _posterior_grid_minimum, measurement_times, mutual_information_bits,
-    posterior,
+    TWO_PI, _grid_offsets, measurement_times, mutual_information_bits, posterior,
 )
 from .sim import (
     KINDS,
@@ -195,9 +194,8 @@ def cmd_state(args):
 def cmd_posterior(args):
     _require_cost(args)
     args.grid = args.grid or 16 * (args.n + 1)
-    minimum = _posterior_grid_minimum(args.n + 1)
-    if args.grid < minimum:
-        raise UsageError(f"--grid must be at least {minimum} for n={args.n}")
+    if args.grid <= args.n:
+        raise UsageError(f"--grid must be at least {args.n + 1} for n={args.n}")
     if not 0 <= args.outcome <= args.n:
         raise UsageError(f"--outcome must be in 0..{args.n}")
     state = state_for(args.kind, args.n, args.cost)
@@ -352,21 +350,24 @@ _COMMANDS = {
 
 
 def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, with options only for ``command``.
+    """The parser of the subcommand ``command`` alone, or of all five.
 
-    A ``command`` that names no subcommand gets options on all five, so
-    ``--help`` and the top-level usage errors read the same either way.
+    A ``command`` that names no subcommand gets all five, for ``--help``
+    and the top-level usage errors. A named one gets only its own, under a
+    ``metavar`` that lists all five, so the usage line reads the same; the
+    full parser takes none, as one would rename the argument in its errors.
     """
     parser = argparse.ArgumentParser(
         prog="qclock",
         description="Quantum-clock states, covariant measurement statistics, "
         "and scaling tables (angles in radians, energy unit E_m = m).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, entry in _COMMANDS.items():
+    named = command in _COMMANDS
+    listed = "{" + ",".join(_COMMANDS) + "}" if named else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    for name in [command] if named else _COMMANDS:
+        entry = _COMMANDS[name]
         subparser = sub.add_parser(name, help=entry.help)
-        if command in _COMMANDS and command != name:
-            continue
         for flag, keywords in entry.options:
             subparser.add_argument(flag, **keywords)
         if entry.gnuplot:

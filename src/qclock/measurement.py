@@ -189,14 +189,10 @@ def _uniform_grid(grid_size: int) -> np.ndarray:
     return np.linspace(0.0, TWO_PI, grid_size, endpoint=False)
 
 
-def _check_grid(grid_size: int, minimum: int) -> None:
-    if not _is_integer(grid_size) or grid_size < minimum:
-        raise ValueError(f"grid_size must be an integer >= {minimum}, got {grid_size!r}")
-
-
-def _posterior_grid_minimum(dim: int) -> int:
-    """The least grid size a posterior of N+1 = dim outcomes takes: 4(N+1)."""
-    return 4 * dim
+def _check_grid(grid_size: int, dim: int) -> None:
+    """G >= N+1 = dim nodes: the trapezoid rule then integrates K, of degree N, exactly."""
+    if not _is_integer(grid_size) or grid_size < dim:
+        raise ValueError(f"grid_size must be an integer >= {dim}, got {grid_size!r}")
 
 
 def _check_outcome(outcome_index: int, dim: int) -> None:
@@ -211,13 +207,13 @@ def posterior(state: ClockState, outcome_index: int, grid_size: int) -> Posterio
 
     With a uniform prior, P(t | t_j) is proportional to P(t_j | t); the
     normalization is recomputed on the grid by the periodic trapezoid
-    rule (exact here, since P(t_j | t) is a degree-N trigonometric
-    polynomial and the grid resolves it). The phases exp(i k t_j) come
-    from the residues k j mod (N+1), so they do not grow with N.
+    rule, exact on any G >= N+1 nodes, since P(t_j | t) is a degree-N
+    trigonometric polynomial. The phases exp(i k t_j) come from the
+    residues k j mod (N+1), so they do not grow with N.
     """
     dim = state.dim
     _check_outcome(outcome_index, dim)
-    _check_grid(grid_size, _posterior_grid_minimum(dim))
+    _check_grid(grid_size, dim)
     residues = np.arange(dim, dtype=np.int64) * outcome_index % dim
     phases = np.exp(1j * (TWO_PI * residues / dim))
     weight = _kernel_on_grid(state.amplitudes * phases, grid_size)
@@ -233,7 +229,7 @@ def _grid_offsets(n_ions: int, outcome_index: int, grid_size: int) -> np.ndarray
     _check_n_ions(n_ions)
     dim = n_ions + 1
     _check_outcome(outcome_index, dim)
-    _check_grid(grid_size, _posterior_grid_minimum(dim))
+    _check_grid(grid_size, dim)
     period = grid_size * dim
     half = period // 2  # the arange is half - nu = half + j G - g (N+1), before the mod
     start = half + outcome_index * grid_size
@@ -345,7 +341,7 @@ def _alternating_inverse_squares(start: np.ndarray) -> np.ndarray:
     return head + np.where((x - start) % 2, -series, series)
 
 
-def mutual_information_bits(state: ClockState, grid_size: int | None = None) -> float:
+def mutual_information_bits(state: ClockState) -> float:
     """Mutual information (bits) between the true time and the outcome.
 
     Covariance makes the marginal outcome distribution uniform, so
@@ -353,24 +349,23 @@ def mutual_information_bits(state: ClockState, grid_size: int | None = None) -> 
         I = log2(N+1) + ((N+1)/2 pi) integral K(T) log2 K(T) dT,
 
     with zero-probability terms contributing zero. Bounded above by
-    log2(N+1), the information capacity of the N+1 outcomes. The grid sum
-    is the Kullback-Leibler divergence of the grid distribution (N+1) K / G
-    from the uniform one, so it is >= 0 (Gibbs' inequality); a rounded
-    negative sum is returned as 0.0.
+    log2(N+1), the information capacity of the N+1 outcomes. K log2 K is
+    no trigonometric polynomial, so the trapezoid rule on G = 16(N+1)
+    nodes approximates the integral. Its sum is the Kullback-Leibler
+    divergence of the grid distribution (N+1) K / G from the uniform one,
+    so it is >= 0 (Gibbs' inequality); a rounded negative sum is returned
+    as 0.0.
     """
     dim = state.dim
-    minimum = 16 * dim
-    if grid_size is None:
-        grid_size = minimum
-    _check_grid(grid_size, minimum)
+    grid_size = 16 * dim
     kernel = _kernel_on_grid(state.amplitudes, grid_size)
     positive = kernel[kernel > 0.0]
     return max(float(np.log2(dim) + dim * np.sum(positive * np.log2(positive)) / grid_size), 0.0)
 
 
-def mutual_information_nats(state: ClockState, grid_size: int | None = None) -> float:
+def mutual_information_nats(state: ClockState) -> float:
     """Mutual information in natural-log units (nats)."""
-    return mutual_information_bits(state, grid_size) * math.log(2.0)
+    return mutual_information_bits(state) * math.log(2.0)
 
 
 def estimation_report(state: ClockState, f: CostFunction) -> EstimationReport:

@@ -185,13 +185,15 @@ def energy_stats(state: ClockState) -> EnergyStats:
     """Mean energy, energy spread, and the time-resolution bound 1/N.
 
     With E_m = m the mean is sum_m m a_m^2 and the spread is
-    sqrt(sum_m (m - mean)^2 a_m^2), both summed with compensation, so the
-    mean is within an ulp of the exact sum of its rounded terms. The
-    centred form does not cancel (E[m^2] - mean^2 is ~eps N^2 off), and an
-    energy eigenstate reports an exact zero spread.
+    sqrt(sum_m (m - mean)^2 a_m^2), each divided by sum_m a_m^2, so they
+    are the moments of the normalised state. All three sums are
+    compensated, and the mean is within an ulp of the exact normalised
+    one. The centred form does not cancel (E[m^2] - mean^2 is ~eps N^2
+    off), and an energy eigenstate reports an exact zero spread.
     """
     weights = state.amplitudes**2
     m = np.arange(state.dim, dtype=float)
-    mean = float(_compensated_cumsum(m * weights)[-1])
-    variance = float(_compensated_cumsum((m - mean) ** 2 * weights)[-1])
+    norm_sq = _compensated_cumsum(weights)[-1]
+    mean = float(_compensated_cumsum(m * weights)[-1] / norm_sq)
+    variance = float(_compensated_cumsum((m - mean) ** 2 * weights)[-1] / norm_sq)
     return EnergyStats(mean, math.sqrt(variance), 1.0 / int(state.n_ions))

@@ -195,10 +195,19 @@ def test_posterior_width_ordering(capsys):
 
 def test_posterior_rejects_coarse_grid(capsys):
     code, _, err = run_cli(
-        capsys, ["posterior", "--kind", "phase", "--n", "20", "--grid", "50"]
+        capsys, ["posterior", "--kind", "phase", "--n", "20", "--grid", "20"]
     )
     assert code == 2
     assert "--grid" in err
+
+
+def test_posterior_takes_every_grid_of_n_plus_1_nodes(capsys):
+    # the trapezoid rule normalises the degree-N posterior exactly on N+1 nodes
+    argv = ["posterior", "--kind", "phase", "--n", "5", "--grid"]
+    code, out, _ = run_cli(capsys, [*argv, "6"])
+    assert code == 0
+    assert len(parse_csv(out)[2]) == 6
+    assert run_cli(capsys, [*argv, "5"]) == (2, "", "error: --grid must be at least 6 for n=5\n")
 
 
 def test_posterior_rejects_bad_outcome(capsys):
@@ -785,9 +794,37 @@ def _subparsers(parser):
 @pytest.mark.parametrize("command", [*COMMANDS, None, "--help", "bogus"])
 def test_parser_builds_options_only_for_the_invoked_subcommand(command):
     subparsers = _subparsers(cli._build_parser(command))
-    assert list(subparsers) == COMMANDS
-    built = {name for name, sub in subparsers.items() if len(sub._actions) > 1}  # -h
-    assert built == ({command} if command in COMMANDS else set(COMMANDS))
+    assert list(subparsers) == ([command] if command in COMMANDS else COMMANDS)
+    assert all(len(sub._actions) > 1 for sub in subparsers.values())  # more than -h
+
+
+# Help, usage errors, errors after parsing and runs that succeed
+PARSER_PARITY_CASES = [
+    [], ["--help"], ["bogus"], ["--format", "json"], ["state"],
+    ["state", "--help"], ["posterior", "--help"], ["mutinfo", "--help"],
+    ["state", "--kind", "phase", "--n", "2", "extra"],
+    ["state", "--kind", "bogus", "--n", "2"],
+    ["state", "--kind", "phase", "--n", "0"],
+    ["simulate", "--kind", "phase", "--n", "3", "--cost", "sin2", "--samples", "10",
+     "--seed", "-1"],
+    ["scan", "--kinds", ",", "--cost", "sin2", "--n", "1:2"],
+    ["mutinfo", "--kind", "basis", "--n", "3"],
+    ["posterior", "--kind", "phase", "--n", "5", "--grid", "5"],
+    ["state", "--kind", "phase", "--n", "2"],
+]
+
+
+def test_main_prints_the_same_with_a_parser_of_every_subcommand(capsys, monkeypatch):
+    # main builds only the subcommand that argv[0] names; exit code, stdout
+    # and stderr must equal those of main with all five built
+    monkeypatch.setenv("COLUMNS", "80")
+    alone = [run_cli(capsys, argv) for argv in PARSER_PARITY_CASES]
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build(None))
+    assert [run_cli(capsys, argv) for argv in PARSER_PARITY_CASES] == alone
+    assert sorted({result[0] for result in alone}) == [0, 2]
+    # a metavar on the full parser would rename the argument in this error
+    assert "argument command: invalid choice" in alone[2][2]
 
 
 def _count(low, high):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,14 +114,19 @@ def test_product_state_energy_spread_keeps_its_digits_at_large_n(n):
 
 @pytest.mark.parametrize("n", [6, 33, 100, 1000, 10**4, 10**5])
 def test_mean_energy_within_one_ulp_of_the_exact_sum_of_its_terms(n):
-    # The exact sum of the rounded terms m a_m^2 less the mean, rounded
-    # once by fsum. A pairwise sum was 2.6 ulp off (the product state at
-    # N = 1000), a one-thread BLAS dot 3.8 ulp (the abs optimum at 10^5).
+    # The exact mean sum_m m a_m^2 / sum_m a_m^2 of the normalised state,
+    # each a_m an integer multiple of 2^-1074. The sum of m a_m^2 alone,
+    # undivided, was 3 ulp off (the product state at N = 1000).
     states = [optimal_state(canonical_cost("abs", n), n), product_state(n), phase_state(n)]
     for state in states:
-        terms = np.arange(state.dim, dtype=float) * state.amplitudes**2
+        scaled = []
+        for amplitude in state.amplitudes.tolist():
+            numerator, denominator = amplitude.as_integer_ratio()
+            scaled.append(numerator << (1075 - denominator.bit_length()))
+        squares = [x * x for x in scaled]
+        exact = Fraction(sum(m * x for m, x in enumerate(squares)), sum(squares))
         mean = energy_stats(state).mean_energy
-        assert abs(math.fsum([*terms, -mean])) <= math.ulp(mean)
+        assert abs(Fraction(mean) - exact) <= math.ulp(mean)
 
 
 @pytest.mark.parametrize("n", [2, 4, 31])
